@@ -264,10 +264,8 @@ _FORMULA_FAMILIES = {
 FAMILIES = tuple(_FAMILY_START)
 
 
-def census_table(family, n_max, k=None, l=None, order=None):
-    """Build the CountTable of one family for all defined indices <= n_max."""
-    if family not in _FAMILY_START:
-        raise ValueError(f"unknown family {family!r}")
+def check_row_indices(family, k, l):
+    """Require k exactly for U, V, W and l exactly for W, each at least 1."""
     needs_k = family in ("U", "V", "W")
     needs_l = family == "W"
     if needs_k and k is None:
@@ -282,6 +280,13 @@ def census_table(family, n_max, k=None, l=None, order=None):
         raise ValueError("k must be at least 1")
     if needs_l and l < 1:
         raise ValueError("l must be at least 1")
+
+
+def census_table(family, n_max, k=None, l=None, order=None):
+    """Build the CountTable of one family for all defined indices <= n_max."""
+    if family not in _FAMILY_START:
+        raise ValueError(f"unknown family {family!r}")
+    check_row_indices(family, k, l)
     start = _FAMILY_START[family]
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")

@@ -9,7 +9,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from . import census, oracle, verify
 
@@ -21,33 +20,6 @@ EXIT_RESOURCE = 3
 _SERIES_FAMILIES = ("P", "Q", "Ptilde", "U", "V", "W")
 
 
-@dataclass
-class RunConfig:
-    """Validated bag of options for one command invocation."""
-
-    command: str
-    family: str = None
-    k: int = None
-    l: int = None
-    n_max: int = None
-    order: int = None
-    target: str = None
-    size: int = None
-    bound: int = None
-    list_solutions: bool = False
-    output_format: str = "csv"
-    workers: int = 1
-    max_size: int = 12
-
-    def validate(self):
-        if self.workers < 1:
-            raise ValueError("--workers must be at least 1")
-        if (self.order is not None and self.n_max is not None
-                and self.order < self.n_max + 1):
-            raise ValueError("--order must be at least --n-max + 1")
-        return self
-
-
 def _print_table(table, output_format):
     if output_format == "json":
         print(table.to_json())
@@ -55,30 +27,21 @@ def _print_table(table, output_format):
         print(table.to_csv(), end="")
 
 
-def cmd_table(config):
+def cmd_table(args):
     """Print one family of counts up to --n-max."""
-    table = census.census_table(config.family, config.n_max,
-                                k=config.k, l=config.l, order=config.order)
-    _print_table(table, config.output_format)
+    table = census.census_table(args.family, args.n_max,
+                                k=args.k, l=args.l, order=args.order)
+    _print_table(table, args.output_format)
     return EXIT_OK
 
 
-def cmd_series(config):
+def cmd_series(args):
     """Print raw coefficients 0..order of one named series."""
-    order = 12 if config.order is None else config.order
+    order = 12 if args.order is None else args.order
     if order < 0:
         raise ValueError("--order must be nonnegative")
-    family = config.family
-    needs_k = family in ("U", "V", "W")
-    needs_l = family == "W"
-    if needs_k and config.k is None:
-        raise ValueError(f"series {family} needs --k")
-    if needs_l and config.l is None:
-        raise ValueError(f"series {family} needs --l")
-    if not needs_k and config.k is not None:
-        raise ValueError(f"series {family} does not take --k")
-    if not needs_l and config.l is not None:
-        raise ValueError(f"series {family} does not take --l")
+    family = args.family
+    census.check_row_indices(family, args.k, args.l)
     if family == "P":
         label, ts = "P", census.series_P(order)
     elif family == "Q":
@@ -86,30 +49,30 @@ def cmd_series(config):
     elif family == "Ptilde":
         label, ts = "Ptilde", census.series_P_inverse(order)
     elif family == "U":
-        label, ts = f"U({config.k})", census.series_U(config.k, order)
+        label, ts = f"U({args.k})", census.series_U(args.k, order)
     elif family == "V":
-        label, ts = f"V({config.k})", census.series_V(config.k, order)
+        label, ts = f"V({args.k})", census.series_V(args.k, order)
     else:
-        label, ts = f"W({config.k},{config.l})", census.series_W(config.k, config.l, order)
+        label, ts = f"W({args.k},{args.l})", census.series_W(args.k, args.l, order)
     table = census.CountTable(family=label, provenance="series",
                               entries=dict(enumerate(ts.coeffs)))
-    _print_table(table, config.output_format)
+    _print_table(table, args.output_format)
     return EXIT_OK
 
 
-def cmd_oracle(config):
+def cmd_oracle(args):
     """Run the exhaustive search for one target and size."""
     query = oracle.OracleQuery(
-        target=config.target,
-        size=config.size,
-        bound=config.bound,
-        list_solutions=config.list_solutions,
-        workers=config.workers,
+        target=args.target,
+        size=args.size,
+        bound=args.bound,
+        list_solutions=args.list_solutions,
+        workers=args.workers,
     )
     result = oracle.solve(query)
-    if config.output_format == "json":
+    if args.output_format == "json":
         payload = {
-            "target": str(config.target),
+            "target": str(args.target),
             "target_name": result.target_name,
             "size": result.size,
             "bound": result.bound,
@@ -118,10 +81,10 @@ def cmd_oracle(config):
             "exhaustive_within_bound": result.exhaustive_within_bound,
             "by_last": {str(k): str(v) for k, v in sorted(result.by_last.items())},
         }
-        if config.list_solutions:
+        if args.list_solutions:
             payload["solutions"] = [list(t) for t in result.solutions]
         print(json.dumps(payload, indent=2))
-    elif config.list_solutions:
+    elif args.list_solutions:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([f"a{i}" for i in range(1, result.size + 1)])
         for digits in result.solutions:
@@ -130,17 +93,17 @@ def cmd_oracle(config):
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["target", "size", "bound", "count",
                          "bound_touches", "exhaustive_within_bound"])
-        writer.writerow([config.target, result.size, result.bound, result.count,
+        writer.writerow([args.target, result.size, result.bound, result.count,
                          result.bound_touches, result.exhaustive_within_bound])
     return EXIT_OK
 
 
-def cmd_verify(config):
+def cmd_verify(args):
     """Run every cross-check and report pass/fail per check."""
-    order = verify.IDENTITY_ORDER if config.order is None else config.order
-    report = verify.run_verify(max_size=config.max_size, order=order,
-                               workers=config.workers)
-    if config.output_format == "json":
+    order = verify.IDENTITY_ORDER if args.order is None else args.order
+    report = verify.run_verify(max_size=args.max_size, order=order,
+                               workers=args.workers)
+    if args.output_format == "json":
         payload = {
             "passed": report.passed,
             "checks": [
@@ -217,11 +180,6 @@ def build_parser():
     return parser
 
 
-_CONFIG_FIELDS = ("family", "k", "l", "n_max", "order", "target", "size",
-                  "bound", "list_solutions", "output_format", "workers",
-                  "max_size")
-
-
 def main(argv=None):
     """Parse arguments, dispatch, and return the process exit code."""
     parser = build_parser()
@@ -230,10 +188,6 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
-    config = RunConfig(command=args.command)
-    for name in _CONFIG_FIELDS:
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
     handlers = {
         "table": cmd_table,
         "series": cmd_series,
@@ -241,7 +195,9 @@ def main(argv=None):
         "verify": cmd_verify,
     }
     try:
-        return handlers[config.command](config.validate())
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError("--workers must be at least 1")
+        return handlers[args.command](args)
     except oracle.ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

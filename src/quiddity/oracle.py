@@ -5,16 +5,25 @@ pipeline: it multiplies elementary matrices out over candidate tuples
 and counts what actually hits the target, so agreement with the census
 numbers is a genuine two-route check.
 
-The workhorse is a meet-in-the-middle sweep.  Splitting a tuple into
-prefix + suffix gives m_n(tuple) = m_n(suffix) * m_n(prefix), hence
+The workhorse is one meet-in-the-middle join.  With h = (m+1)//2 a
+tuple splits into its first component, the middle a_2..a_h and the
+suffix a_(h+1)..a_m, and
 
-    m_n(tuple) = +/-target  <=>  m_n(prefix) = m_n(suffix)^-1 * (+/-target).
+    m_n(tuple) = Suf * Z * elem(a_1),   Z = m_n(middle), Suf = m_n(suffix).
 
-All prefix products are tabulated once as packed integers; each suffix
-then costs two dictionary probes per target.  Packing is linear in the
-matrix entries, so the probe for -target is just the negated key of
-the probe for +target, and a whole batch of targets can share one
-prefix table and one suffix sweep.
+elem(a) = a*E11 + S is affine in a, so Z * elem(a_1) has the columns
+a_1*Z*e1 + Z*e2 and -Z*e1.  With R = Suf^-1 * target, the equation
+m_n(tuple) = +/-target therefore needs Z*e1 = -/+R*e2, and then a_1 is
+the unique integer with a_1*Z*e1 + Z*e2 = +/-R*e1 (unique and integral
+because Z*e1, a column of a determinant-1 matrix, is primitive).
+
+The table holds every middle product with its sign normalized so that
+the first column is canonical (first nonzero entry positive), keyed by
+that column.  Each suffix then costs one probe per target, and each
+hit solves a_1 in closed form, so the count, the bound touches, both
+histograms and, when asked for, the tuples themselves come out of the
+same join.  The first component is never enumerated: a pinned first
+component, even one above the bound, is a range of one value.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
@@ -30,7 +39,6 @@ from .matrices import Mat2, TARGETS, equal_up_to_sign, m_n, parse_target
 
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
 
-_COUNT_MASK = (1 << 32) - 1
 _IDENT = (1, 0, 0, 1)
 
 
@@ -59,7 +67,6 @@ class OracleQuery:
     workers: int = 1
     max_table_entries: int = DEFAULT_MAX_TABLE_ENTRIES
     method: str = "auto"
-    with_first_last: bool = True
 
 
 @dataclass
@@ -67,8 +74,9 @@ class SolutionSet:
     """Result of one solve: the count plus component histograms.
 
     by_last maps last component -> count; by_first_last maps the pair
-    (first, last) -> count; solutions is a lexicographically sorted
-    tuple of component tuples when listing was requested, else None.
+    (first, last) -> count, both with sorted keys; solutions is a
+    lexicographically sorted tuple of component tuples when listing was
+    requested, else None.
 
     exhaustive_within_bound is True when every solution of the equation
     provably has all free components within the bound, which holds for
@@ -144,23 +152,6 @@ def _iter_products(lows, highs, bound):
             mats[j] = prev
 
 
-def _pack_base(m1, m2, dmax, tmax):
-    # entries of a product of k elementary factors with digits <= d are
-    # bounded by (d+1)^k; lookup keys additionally carry the target
-    growth = dmax + 1
-    limit = max(growth ** m1, 2 * max(tmax, 1) * growth ** m2)
-    return 1 << (limit.bit_length() + 1)
-
-
-def _target_key_coeffs(entries, base):
-    # pack(M * target) is linear in the entries of M; these are the four
-    # dot-product coefficients for M given as (a, b, c, d)
-    ta, tb, tc, td = entries
-    b3 = base ** 3
-    b2 = base ** 2
-    return (ta * b3 + tb * b2, tc * b3 + td * b2, ta * base + tb, tc * base + td)
-
-
 def _projected(lows, highs):
     total = 1
     for lo, hi in zip(lows, highs):
@@ -217,205 +208,145 @@ def _box(size, bound, fixed):
     return lows, highs
 
 
-def _build_prefix_table(lows, highs, bound, base, ann_mult, want_ann):
-    """Map pack(prefix product) -> count + (touched count << 32).
+def _sorted_histograms(by_last, by_first_last):
+    """Histograms with sorted keys, so no traversal order leaks out."""
+    return dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
-    The annotated table additionally keys by the first component so the
-    sweep can split rare hits by (first, last) without materializing.
+
+def _build_table(lows, highs, bound):
+    """Map canonical Z*e1 -> [(z2, middle tuple), ...] over the middle box.
+
+    Z is sign-normalized so that its first column has a positive first
+    nonzero entry.  Within a bucket the second column is fixed by z2,
+    its entry in the row of that first nonzero entry (det Z = 1).
     """
-    totals = {}
-    ann = {} if want_ann else None
-    tget = totals.get
-    for digits, mat, touched in _iter_products(lows, highs, bound):
-        a, b, c, d = mat
-        key = ((a * base + b) * base + c) * base + d
-        totals[key] = tget(key, 0) + 1 + (touched << 32)
-        if ann is not None:
-            akey = key * ann_mult + digits[0]
-            ann[akey] = ann.get(akey, 0) + 1
-    return totals, ann
+    table = {}
+    for digits, (a, b, c, d), _touched in _iter_products(lows, highs, bound):
+        if a < 0 or (a == 0 and c < 0):
+            a, b, c, d = -a, -b, -c, -d
+        table.setdefault((a, c), []).append((b if a else d, digits))
+    return table
 
 
-def _sweep(totals, ann, coeff_rows, slows, shighs, bound, first_lo, first_hi, ann_mult):
-    """Run the suffix sweep against a prebuilt prefix table."""
-    n_targets = len(coeff_rows)
+def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list):
+    """Sweep the suffix box against the middle table, solving a_1 per hit.
+
+    Returns per-target lists: counts, bound touches, by_last and
+    by_first_last (unsorted), and the solution tuples (or None).
+    """
+    n_targets = len(target_rows)
     counts = [0] * n_targets
     touches = [0] * n_targets
     by_last = [{} for _ in range(n_targets)]
-    by_first_last = [{} for _ in range(n_targets)] if ann is not None else None
-    tget = totals.get
-    aget = ann.get if ann is not None else None
-    indices = range(n_targets)
-    for digits, mat, stouched in _iter_products(slows, shighs, bound):
-        p, q, r, s = mat
-        # inverse of the suffix product (determinant is 1)
+    by_first_last = [{} for _ in range(n_targets)]
+    solutions = [[] for _ in range(n_targets)] if want_list else None
+    tget = table.get
+    indexed_rows = list(enumerate(target_rows))
+    for digits, (p, q, r, s), stouched in _iter_products(slows, shighs, bound):
         last = digits[-1]
-        for ti in indices:
-            ca, cb, cc, cd = coeff_rows[ti]
-            key = s * ca - q * cb - r * cc + p * cd
-            packed = 0
-            hit = tget(key)
-            if hit is not None:
-                packed += hit
-            hit = tget(-key)
-            if hit is not None:
-                packed += hit
-            if not packed:
+        for ti, (ta, tb, tc, td) in indexed_rows:
+            # R = Suf^-1 * target with Suf^-1 = [[s, -q], [-r, p]]; probe R*e2
+            x = s * tb - q * td
+            y = p * td - r * tb
+            sign = 1
+            if x < 0 or (x == 0 and y < 0):
+                x, y, sign = -x, -y, -1
+            bucket = tget((x, y))
+            if bucket is None:
                 continue
-            cnt = packed & _COUNT_MASK
-            counts[ti] += cnt
-            touches[ti] += cnt if stouched else packed >> 32
-            row = by_last[ti]
-            row[last] = row.get(last, 0) + cnt
-            if by_first_last is not None:
-                pos_key = key * ann_mult
-                neg_key = -key * ann_mult
+            # the match has Z*e1 = sign*R*e2, so a_1*Z*e1 + Z*e2 = -sign*R*e1,
+            # read off in the row of the key's first nonzero entry
+            if x:
+                z1, r1 = x, sign * (q * tc - s * ta)
+            else:
+                z1, r1 = y, sign * (r * ta - p * tc)
+            for z2, mid in bucket:
+                first = (r1 - z2) // z1
+                if first < first_lo or first > first_hi:
+                    continue
+                counts[ti] += 1
+                touches[ti] += stouched or first >= bound or max(mid, default=0) >= bound
+                row = by_last[ti]
+                row[last] = row.get(last, 0) + 1
+                pair = (first, last)
                 fl = by_first_last[ti]
-                for first in range(first_lo, first_hi + 1):
-                    c1 = (aget(pos_key + first) or 0) + (aget(neg_key + first) or 0)
-                    if c1:
-                        pair = (first, last)
-                        fl[pair] = fl.get(pair, 0) + c1
-    return counts, touches, by_last, by_first_last
+                fl[pair] = fl.get(pair, 0) + 1
+                if solutions is not None:
+                    solutions[ti].append((first,) + mid + digits)
+    return counts, touches, by_last, by_first_last, solutions
 
 
 _WORKER_CTX = None
 
 
-def _prefix_partition_task(first_value):
-    lows, highs, bound, base, ann_mult, want_ann = _WORKER_CTX
-    lows = list(lows)
-    highs = list(highs)
-    lows[0] = highs[0] = first_value
-    return _build_prefix_table(lows, highs, bound, base, ann_mult, want_ann)
-
-
-def _sweep_partition_task(first_value):
-    totals, ann, coeff_rows, slows, shighs, bound, first_lo, first_hi, ann_mult = _WORKER_CTX
+def _join_partition_task(first_value):
+    table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list = _WORKER_CTX
     slows = list(slows)
     shighs = list(shighs)
     slows[0] = shighs[0] = first_value
-    return _sweep(totals, ann, coeff_rows, slows, shighs, bound, first_lo, first_hi, ann_mult)
+    return _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list)
 
 
-def _run_partitioned(task, lo, hi, workers, ctx):
-    """Run task over first-digit partitions lo..hi, results in ascending order.
+def _run_partitioned(lo, hi, workers, ctx):
+    """Join the suffix partitions lo..hi of the first digit, in ascending order.
 
     Partitions are independent, so with workers > 1 they go to a fork
-    pool (children inherit the context, including any prefix table,
+    pool (children inherit the context, including the middle table,
     without pickling it); merge order stays ascending either way, which
-    keeps results identical for any worker count.
+    keeps results identical for any worker count.  Where the platform
+    has no fork the partitions run serially.
     """
     global _WORKER_CTX
     values = list(range(lo, hi + 1))
     _WORKER_CTX = ctx
     try:
-        if workers <= 1 or len(values) == 1:
-            return [task(v) for v in values]
+        if (workers <= 1 or len(values) == 1
+                or "fork" not in multiprocessing.get_all_start_methods()):
+            return [_join_partition_task(v) for v in values]
         pool_size = min(workers, len(values))
         with multiprocessing.get_context("fork").Pool(pool_size) as pool:
-            return pool.map(task, values)
+            return pool.map(_join_partition_task, values)
     finally:
         _WORKER_CTX = None
 
 
-def _merge_tables(parts):
-    totals, ann = parts[0]
-    for part_totals, part_ann in parts[1:]:
-        for key, value in part_totals.items():
-            totals[key] = totals.get(key, 0) + value
-        if ann is not None:
-            for key, value in part_ann.items():
-                ann[key] = ann.get(key, 0) + value
-    return totals, ann
-
-
-def _merge_sweeps(parts, n_targets):
+def _merge_joins(parts, n_targets):
     counts = [0] * n_targets
     touches = [0] * n_targets
     by_last = [{} for _ in range(n_targets)]
-    by_first_last = [{} for _ in range(n_targets)] if parts[0][3] is not None else None
-    for part_counts, part_touches, part_last, part_fl in parts:
+    by_first_last = [{} for _ in range(n_targets)]
+    solutions = [[] for _ in range(n_targets)] if parts[0][4] is not None else None
+    for part_counts, part_touches, part_last, part_fl, part_solutions in parts:
         for ti in range(n_targets):
             counts[ti] += part_counts[ti]
             touches[ti] += part_touches[ti]
-            row = by_last[ti]
-            for key, value in part_last[ti].items():
-                row[key] = row.get(key, 0) + value
-            if by_first_last is not None:
-                fl = by_first_last[ti]
-                for key, value in part_fl[ti].items():
-                    fl[key] = fl.get(key, 0) + value
-    return counts, touches, by_last, by_first_last
+            for merged, part in ((by_last[ti], part_last[ti]), (by_first_last[ti], part_fl[ti])):
+                for key, value in part.items():
+                    merged[key] = merged.get(key, 0) + value
+            if solutions is not None:
+                solutions[ti].extend(part_solutions[ti])
+    histograms = [_sorted_histograms(last, fl) for last, fl in zip(by_last, by_first_last)]
+    if solutions is not None:
+        for listed in solutions:
+            listed.sort()
+    return counts, touches, histograms, solutions
 
 
-def _solve_mitm_counts(target_entries, size, bound, fixed, workers, budget, want_first_last):
-    """Count solutions for a batch of targets with one table + one sweep."""
+def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
+    """Count (and optionally list) solutions for a batch of targets: one table, one join."""
     lows, highs = _box(size, bound, fixed)
-    m1 = (size + 1) // 2
-    plows, phighs = lows[:m1], highs[:m1]
-    slows, shighs = lows[m1:], highs[m1:]
-    _check_budget(_projected(plows, phighs), budget, "the prefix table")
-    _check_budget(_projected(slows, shighs), budget, "the suffix sweep")
-    dmax = max([bound] + list(fixed.values()))
-    tmax = max(abs(e) for entries in target_entries for e in entries)
-    base = _pack_base(m1, size - m1, dmax, tmax)
-    ann_mult = dmax + 2
-    first_fixed = plows[0] == phighs[0]
-    want_ann = want_first_last and not first_fixed
-
-    ctx = (tuple(plows), tuple(phighs), bound, base, ann_mult, want_ann)
-    parts = _run_partitioned(_prefix_partition_task, plows[0], phighs[0], workers, ctx)
-    totals, ann = _merge_tables(parts)
-
-    coeff_rows = [_target_key_coeffs(entries, base) for entries in target_entries]
-    ctx = (totals, ann, coeff_rows, tuple(slows), tuple(shighs), bound,
-           plows[0], phighs[0], ann_mult)
-    parts = _run_partitioned(_sweep_partition_task, slows[0], shighs[0], workers, ctx)
-    counts, touches, by_last, by_first_last = _merge_sweeps(parts, len(target_entries))
-
-    if want_first_last and first_fixed:
-        first = plows[0]
-        by_first_last = [
-            {(first, last): cnt for last, cnt in row.items()} for row in by_last
-        ]
-    elif not want_first_last:
-        by_first_last = [{} for _ in target_entries]
-    return counts, touches, by_last, by_first_last
-
-
-def _solve_mitm_listing(entries, size, bound, fixed, budget):
-    """Materialize all solutions for one target via a prefix multimap."""
-    lows, highs = _box(size, bound, fixed)
-    m1 = (size + 1) // 2
-    plows, phighs = lows[:m1], highs[:m1]
-    slows, shighs = lows[m1:], highs[m1:]
-    _check_budget(_projected(plows, phighs), budget, "the prefix table")
-    _check_budget(_projected(slows, shighs), budget, "the suffix sweep")
-    dmax = max([bound] + list(fixed.values()))
-    tmax = max(abs(e) for e in entries)
-    base = _pack_base(m1, size - m1, dmax, tmax)
-
-    table = {}
-    for digits, mat, _touched in _iter_products(plows, phighs, bound):
-        a, b, c, d = mat
-        key = ((a * base + b) * base + c) * base + d
-        table.setdefault(key, []).append(digits)
-    ca, cb, cc, cd = _target_key_coeffs(entries, base)
-    solutions = []
-    empty = ()
-    for digits, mat, _touched in _iter_products(slows, shighs, bound):
-        p, q, r, s = mat
-        key = s * ca - q * cb - r * cc + p * cd
-        for probe in (key, -key):
-            for prefix in table.get(probe, empty):
-                solutions.append(prefix + digits)
-    solutions.sort()
-    return solutions
+    h = (size + 1) // 2
+    _check_budget(_projected(lows[1:h], highs[1:h]), budget, "the middle table")
+    _check_budget(_projected(lows[h:], highs[h:]), budget, "the suffix sweep")
+    table = _build_table(lows[1:h], highs[1:h], bound)
+    ctx = (table, target_rows, tuple(lows[h:]), tuple(highs[h:]), bound,
+           lows[0], highs[0], want_list)
+    parts = _run_partitioned(lows[h], highs[h], workers, ctx)
+    return _merge_joins(parts, len(target_rows))
 
 
 def _solve_direct(entries, size, bound, fixed, want_list):
-    """Plain full enumeration; the reference the sweep is checked against."""
+    """Plain full enumeration; the reference the join is checked against."""
     negated = tuple(-e for e in entries)
     lows, highs = _box(size, bound, fixed)
     count = 0
@@ -433,22 +364,7 @@ def _solve_direct(entries, size, bound, fixed, want_list):
             by_first_last[pair] = by_first_last.get(pair, 0) + 1
             if solutions is not None:
                 solutions.append(digits)
-    return count, touches, by_last, by_first_last, solutions
-
-
-def _histograms_from(solutions, bound):
-    count = len(solutions)
-    touches = 0
-    by_last = {}
-    by_first_last = {}
-    for digits in solutions:
-        if max(digits) >= bound:
-            touches += 1
-        last = digits[-1]
-        by_last[last] = by_last.get(last, 0) + 1
-        pair = (digits[0], last)
-        by_first_last[pair] = by_first_last.get(pair, 0) + 1
-    return count, touches, by_last, by_first_last
+    return count, touches, _sorted_histograms(by_last, by_first_last), solutions
 
 
 def solve(query):
@@ -474,21 +390,17 @@ def solve(query):
     if method == "direct":
         lows, highs = _box(size, bound, fixed)
         _check_budget(_projected(lows, highs), budget, "direct enumeration")
-        count, touches, by_last, by_first_last, listed = _solve_direct(
+        count, touches, (by_last, by_first_last), listed = _solve_direct(
             entries, size, bound, fixed, query.list_solutions)
-    elif query.list_solutions:
-        listed = _solve_mitm_listing(entries, size, bound, fixed, budget)
-        for digits in listed:
+    else:
+        counts, touch_list, histograms, listings = _solve_mitm(
+            [entries], size, bound, fixed, query.workers, budget, query.list_solutions)
+        count, touches = counts[0], touch_list[0]
+        by_last, by_first_last = histograms[0]
+        listed = listings[0] if listings is not None else None
+        for digits in listed or ():
             if not equal_up_to_sign(m_n(digits), mat):
                 raise RuntimeError(f"internal error: {digits} fails re-verification")
-        count, touches, by_last, by_first_last = _histograms_from(listed, bound)
-    else:
-        listed = None
-        counts, touch_list, last_list, fl_list = _solve_mitm_counts(
-            [entries], size, bound, fixed, query.workers, budget,
-            query.with_first_last)
-        count, touches = counts[0], touch_list[0]
-        by_last, by_first_last = last_list[0], fl_list[0]
 
     return SolutionSet(
         target=mat,
@@ -506,10 +418,10 @@ def solve(query):
 
 
 def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTRIES,
-           targets=None, with_first_last=True):
+           targets=None):
     """Count solutions for a whole batch of targets at one size.
 
-    All targets share a single prefix table and a single suffix sweep,
+    All targets share a single middle table and a single suffix sweep,
     so surveying the eight named targets costs little more than one.
     """
     if targets is None:
@@ -537,24 +449,23 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     if size <= 3:
         lows, highs = _box(size, bound, {})
         _check_budget(_projected(lows, highs), max_table_entries, "direct enumeration")
-        counts, touches, by_last, by_first_last = [], [], [], []
+        counts, touches, histograms = [], [], []
         for entries in entry_rows:
-            cnt, tch, last_row, fl_row, _ = _solve_direct(entries, size, bound, {}, False)
+            cnt, tch, hists, _ = _solve_direct(entries, size, bound, {}, False)
             counts.append(cnt)
             touches.append(tch)
-            by_last.append(last_row)
-            by_first_last.append(fl_row if with_first_last else {})
+            histograms.append(hists)
     else:
-        counts, touches, by_last, by_first_last = _solve_mitm_counts(
-            entry_rows, size, bound, {}, workers, max_table_entries, with_first_last)
+        counts, touches, histograms, _ = _solve_mitm(
+            entry_rows, size, bound, {}, workers, max_table_entries, False)
 
     return SurveyResult(
         size=size,
         bound=bound,
         counts=dict(zip(labels, counts)),
         bound_touches=dict(zip(labels, touches)),
-        by_last=dict(zip(labels, by_last)),
-        by_first_last=dict(zip(labels, by_first_last)),
+        by_last={label: hists[0] for label, hists in zip(labels, histograms)},
+        by_first_last={label: hists[1] for label, hists in zip(labels, histograms)},
         exhaustive_within_bound={
             label: is_named and bound >= size
             for label, is_named in zip(labels, named)
@@ -567,8 +478,7 @@ def count_by_last(target, size, last, bound=None, workers=1,
     """Number of solutions whose last component equals `last`."""
     query = OracleQuery(target=target, size=size, bound=bound,
                         constraints={size: last}, workers=workers,
-                        max_table_entries=max_table_entries,
-                        with_first_last=False)
+                        max_table_entries=max_table_entries)
     return solve(query).count
 
 
@@ -577,8 +487,7 @@ def count_component_at(target, size, position, value, bound=None, workers=1,
     """Number of solutions with the given component pinned at a position."""
     query = OracleQuery(target=target, size=size, bound=bound,
                         constraints={position: value}, workers=workers,
-                        max_table_entries=max_table_entries,
-                        with_first_last=False)
+                        max_table_entries=max_table_entries)
     return solve(query).count
 
 

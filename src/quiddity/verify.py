@@ -260,17 +260,22 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
                      sv.bound_touches["Id"])
 
     for size in range(4, min(7, max_size) + 1):
+        # beyond the named targets: a lowered bound, a first component
+        # pinned above the bound, and a target outside the named eight
+        cases = {name: {"target": name} for name in names}
+        cases["Id:bound-2"] = {"target": "Id", "bound": 2}
+        cases[f"TSTS:first-{size - 1}:bound-2"] = {
+            "target": "TSTS", "bound": 2, "constraints": {1: size - 1}}
+        cases["[[2,3],[1,2]]"] = {"target": "[[2,3],[1,2]]"}
         expected = {}
         actual = {}
-        for name in names:
-            direct = oracle.solve(oracle.OracleQuery(target=name, size=size,
-                                                     method="direct"))
-            mitm = oracle.solve(oracle.OracleQuery(target=name, size=size,
-                                                   method="mitm"))
-            expected[name] = (direct.count, direct.bound_touches,
-                              direct.by_last, direct.by_first_last)
-            actual[name] = (mitm.count, mitm.bound_touches,
-                            mitm.by_last, mitm.by_first_last)
+        for label, spec in cases.items():
+            direct = oracle.solve(oracle.OracleQuery(size=size, method="direct", **spec))
+            mitm = oracle.solve(oracle.OracleQuery(size=size, method="mitm", **spec))
+            expected[label] = (direct.count, direct.bound_touches,
+                               direct.by_last, direct.by_first_last)
+            actual[label] = (mitm.count, mitm.bound_touches,
+                             mitm.by_last, mitm.by_first_last)
         report.check(f"oracle:direct-vs-mitm:size-{size}", expected, actual)
 
     golden = load_golden()

@@ -1,12 +1,13 @@
 import pytest
 
-from quiddity import census, matrices, oracle
+from quiddity import census, cli, matrices, oracle
 from quiddity.oracle import OracleQuery, ResourceBudgetError, solve, survey
 
 
-def _listing(target, size, bound=None, method="auto"):
+def _listing(target, size, bound=None, method="auto", constraints=None):
     return solve(OracleQuery(target=target, size=size, bound=bound,
-                             list_solutions=True, method=method))
+                             constraints=constraints, list_solutions=True,
+                             method=method))
 
 
 def test_pinned_listings():
@@ -28,10 +29,15 @@ def test_solutions_none_without_listing():
 
 
 def test_listing_agrees_between_methods():
-    for target in ("Id", "TSTS", "T"):
-        direct = _listing(target, 6, method="direct").solutions
-        mitm = _listing(target, 6, method="mitm").solutions
-        assert direct == mitm
+    # named targets, a lowered bound, a first component pinned above the
+    # bound, and a target outside the named eight
+    cases = [(target, None, None) for target in ("Id", "TSTS", "T")]
+    cases += [("Id", 3, None), ("Id", 3, {1: 4}), ("[[2,3],[1,2]]", None, None)]
+    for target, bound, constraints in cases:
+        direct = _listing(target, 6, bound, "direct", constraints).solutions
+        mitm = _listing(target, 6, bound, "mitm", constraints).solutions
+        assert direct == mitm, (target, bound, constraints)
+        assert direct
         assert list(direct) == sorted(direct)
 
 
@@ -46,8 +52,13 @@ def test_direct_and_mitm_agree_on_everything():
     for name in matrices.TARGETS:
         a = solve(OracleQuery(target=name, size=5, method="direct"))
         b = solve(OracleQuery(target=name, size=5, method="mitm"))
-        assert (a.count, a.bound_touches, a.by_last, a.by_first_last) == (
-            b.count, b.bound_touches, b.by_last, b.by_first_last)
+        # item lists, so the key order must agree too
+        assert (a.count, a.bound_touches, list(a.by_last.items()),
+                list(a.by_first_last.items())) == (
+            b.count, b.bound_touches, list(b.by_last.items()),
+            list(b.by_first_last.items()))
+        assert list(a.by_last) == sorted(a.by_last)
+        assert list(a.by_first_last) == sorted(a.by_first_last)
 
 
 def test_histograms_match_listing():
@@ -216,9 +227,22 @@ def test_workers_deterministic():
     assert serial.bound_touches == forked.bound_touches
     assert serial.by_last == forked.by_last
     assert serial.by_first_last == forked.by_first_last
+    for name in serial.counts:
+        for hist in ("by_last", "by_first_last"):
+            keys = list(getattr(serial, hist)[name])
+            assert keys == sorted(keys), (name, hist)
+            assert list(getattr(forked, hist)[name]) == keys, (name, hist)
 
 
-def test_without_first_last_histogram():
-    res = solve(OracleQuery(target="Id", size=6, with_first_last=False))
-    assert res.by_first_last == {}
-    assert res.by_last == solve(OracleQuery(target="Id", size=6)).by_last
+def test_workers_fall_back_to_serial_without_fork(monkeypatch, capsys):
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    serial = survey(7)
+    monkeypatch.setattr(oracle.multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(oracle.multiprocessing, "get_context", no_fork)
+    assert survey(7, workers=2) == serial
+    assert cli.main(["oracle", "--target", "Id", "--size", "8",
+                     "--workers", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "Id,8,8,166,0,True"
