@@ -11,8 +11,10 @@ Families, all counting solution tuples of size n + 2 for their target:
     S, T     targets S and T;
     u,v,w,x,y  targets T^-1, TS, ST, TSTS, STST.
 
-P, Q, Ptilde, D, E, F also exist as closed-form rows (see `formulas`);
-the series built here provide the independent second route.
+The series of one truncation order come from one cached build: P and Q
+solved from their functional equations, and rows grown by U1 = 1 - 1/P.
+No closed form enters it; P, Q, Ptilde, D, E, F also exist as closed-form
+rows (see `formulas`), the independent second route.
 """
 
 import csv
@@ -24,109 +26,119 @@ from functools import lru_cache
 from . import formulas
 from .series import TruncSeries
 
+SERIES_FAMILIES = ("P", "Q", "Ptilde", "U", "V", "W")
+
+
+def _solve_P_Q(order):
+    """Coefficients 0..order of P and Q from their functional equations,
+    multiplied out so that each coefficient needs only lower ones:
+
+        P = 1 + X P^2 + X^3 (P^3 - P^2),
+        Q - 1 = X P^2 + X^3 P^3 (Q - 1).
+    """
+    p, p2, p3, q = [], [], [], []
+    for n in range(order + 1):
+        pn = qn = p2[n - 1] if n else 1
+        if n >= 3:
+            pn += p3[n - 3] - p2[n - 3]
+            # the sum skips q[0]: the equation multiplies Q - 1, whose X^0 term is 0
+            qn += sum(p3[i] * q[n - 3 - i] for i in range(n - 3))
+        p.append(pn)
+        p2.append(sum(p[i] * p[n - i] for i in range(n + 1)))
+        p3.append(sum(p[i] * p2[n - i] for i in range(n + 1)))
+        q.append(qn)
+    return p, q
+
+
+class _Build:
+    """Every series of one truncation order.
+
+    The rows U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1)
+    are grown by one multiplication each, the first time they are asked
+    for.  U1, V1 and W11 have no constant term, so row j starts at X^j
+    and a row past the order is zero.
+    """
+
+    def __init__(self, order):
+        p, q = _solve_P_Q(order)
+        one = TruncSeries.one(order)
+        self.p = TruncSeries(p)
+        self.q = TruncSeries(q)
+        self.p_inverse = self.p.inverse()
+        self.u1 = one.sub(self.p_inverse)
+        v1 = self.q.sub(one).mul(self.p_inverse)
+        self._rows = {"U": [self.u1], "V": [v1], "W": [self.p_inverse.mul(v1)]}
+
+    def row(self, family, j):
+        """Row j >= 1 of U, V or W(1, .)."""
+        if j > self.u1.order:
+            return TruncSeries.zero(self.u1.order)
+        rows = self._rows[family]
+        while len(rows) < j:
+            rows.append(rows[-1].mul(self.u1))
+        return rows[j - 1]
+
 
 @lru_cache(maxsize=None)
-def _series_P(order):
-    return TruncSeries([formulas.coeff_P(n) for n in range(order + 1)])
-
-
-@lru_cache(maxsize=None)
-def _series_Q(order):
-    return TruncSeries([formulas.coeff_Q(n) for n in range(order + 1)])
-
-
-@lru_cache(maxsize=None)
-def _series_P_inverse(order):
-    return _series_P(order).inverse()
-
-
-@lru_cache(maxsize=None)
-def _series_U1(order):
-    return TruncSeries.one(order).sub(_series_P_inverse(order))
-
-
-@lru_cache(maxsize=None)
-def _series_V1(order):
-    q_minus_1 = _series_Q(order).sub(TruncSeries.one(order))
-    return q_minus_1.mul(_series_P_inverse(order))
-
-
-@lru_cache(maxsize=None)
-def _series_W11(order):
-    q_minus_1 = _series_Q(order).sub(TruncSeries.one(order))
-    p_inv = _series_P_inverse(order)
-    return p_inv.mul(q_minus_1).mul(p_inv)
-
-
-@lru_cache(maxsize=None)
-def _series_U(k, order):
-    return _series_U1(order).pow(k)
-
-
-@lru_cache(maxsize=None)
-def _series_V(k, order):
-    return _series_V1(order).mul(_series_U1(order).pow(k - 1))
-
-
-@lru_cache(maxsize=None)
-def _series_W(k, l, order):
-    return _series_W11(order).mul(_series_U1(order).pow(k + l - 2))
+def _build(order):
+    return _Build(order)
 
 
 def clear_caches():
-    """Drop every memoized series (needed after monkeypatching formulas)."""
-    for fn in (_series_P, _series_Q, _series_P_inverse, _series_U1,
-               _series_V1, _series_W11, _series_U, _series_V, _series_W):
-        fn.cache_clear()
+    """Drop the memoized series builds; every later call rebuilds them."""
+    _build.cache_clear()
 
 
 def series_P(order):
-    """P truncated at `order`, built from the closed form."""
-    return _series_P(order)
+    """P truncated at `order`, solved from its functional equation."""
+    return _build(order).p
 
 
 def series_Q(order):
-    """Q truncated at `order`, built from the closed form."""
-    return _series_Q(order)
+    """Q truncated at `order`, solved from its functional equation."""
+    return _build(order).q
 
 
 def series_P_inverse(order):
     """1/P truncated at `order`; the series route to the Ptilde row."""
-    return _series_P_inverse(order)
+    return _build(order).p_inverse
 
 
 def series_U(k, order):
     """(1 - 1/P)^k truncated at `order`."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _series_U(k, order)
+    return series_row("U", order, k)[1]
 
 
 def series_V(k, order):
     """Series of last-component-k counts: (Q - 1) * (1/P) * (1 - 1/P)^(k-1)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return _series_V(k, order)
+    return series_row("V", order, k)[1]
 
 
 def series_W11(order):
     """Series of first-and-last-component-1 counts: (1/P) * (Q - 1) * (1/P)."""
-    return _series_W11(order)
+    return _build(order).row("W", 1)
 
 
 def series_W(k, l, order):
     """Series of (first, last) = (k, l) counts: W11 * (1 - 1/P)^(k+l-2)."""
-    if k < 1 or l < 1:
-        raise ValueError("k and l must be at least 1")
-    return _series_W(k, l, order)
+    return series_row("W", order, k, l)[1]
+
+
+def series_row(family, order, k=None, l=None):
+    """(label, series) of P, Q, Ptilde, U(k), V(k) or W(k,l) at `order`."""
+    if family not in SERIES_FAMILIES:
+        raise ValueError(f"unknown series family {family!r}")
+    check_row_indices(family, k, l)
+    build = _build(order)
+    if family == "W":
+        return f"W({k},{l})", build.row("W", k + l - 1)
+    if k is not None:
+        return f"{family}({k})", build.row(family, k)
+    return family, {"P": build.p, "Q": build.q, "Ptilde": build.p_inverse}[family]
 
 
 def _v_coeff(k, n):
-    if n < 0:
-        return 0
-    if k > n:
-        return 0
-    return _series_V(k, max(n, 1)).coeff(n)
+    return _build(n).row("V", k).coeff(n)
 
 
 def count_S(n):
@@ -144,7 +156,7 @@ def count_T(n):
         raise ValueError("index must be nonnegative")
     if n == 0:
         return 0
-    return count_S(n - 1) + formulas.coeff_Q(n)
+    return count_S(n - 1) + _build(n).q.coeff(n)
 
 
 def count_family(tag, n):
@@ -152,14 +164,14 @@ def count_family(tag, n):
     if n < 1:
         raise ValueError("index must be at least 1")
     if tag == "u":
-        return formulas.coeff_Q(n) - _v_coeff(1, n)
+        return _build(n).q.coeff(n) - _v_coeff(1, n)
     if tag == "v":
         if n == 1:
             return 0
-        return formulas.coeff_Q(n - 1) + count_S(n)
+        return _build(n - 1).q.coeff(n - 1) + count_S(n)
     if tag == "w":
-        w_sum = sum(_series_W(1, k, n).coeff(n) for k in range(1, n + 1))
-        return formulas.coeff_Q(n) - 2 * w_sum + _series_W11(n).coeff(n)
+        w_sum = sum(_build(n).row("W", k).coeff(n) for k in range(1, n + 1))
+        return _build(n).q.coeff(n) - 2 * w_sum + _build(n).row("W", 1).coeff(n)
     if tag == "x":
         return _v_coeff(1, n + 1)
     if tag == "y":
@@ -212,7 +224,7 @@ def count_solutions(target_name, size):
         return _SMALL_SIZE_COUNTS[target_name][size - 1]
     n = size - 2
     if target_name == "Id":
-        return formulas.coeff_Q(n)
+        return _build(n).q.coeff(n)
     if target_name == "S":
         return count_S(n)
     if target_name == "T":
@@ -300,15 +312,9 @@ def census_table(family, n_max, k=None, l=None, order=None):
         entries = {n: fn(n) for n in range(start, n_max + 1)}
         return CountTable(family=family, entries=entries, provenance="formula")
 
-    if family == "U":
-        ts = series_U(k, order)
-        return CountTable(f"U({k})", {n: ts.coeff(n) for n in range(n_max + 1)}, "series")
-    if family == "V":
-        ts = series_V(k, order)
-        return CountTable(f"V({k})", {n: ts.coeff(n) for n in range(n_max + 1)}, "series")
-    if family == "W":
-        ts = series_W(k, l, order)
-        return CountTable(f"W({k},{l})", {n: ts.coeff(n) for n in range(n_max + 1)}, "series")
+    if family in ("U", "V", "W"):
+        label, ts = series_row(family, order, k, l)
+        return CountTable(label, {n: ts.coeff(n) for n in range(n_max + 1)}, "series")
     if family == "S":
         entries = {n: count_S(n) for n in range(n_max + 1)}
     elif family == "T":

@@ -17,8 +17,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-_SERIES_FAMILIES = ("P", "Q", "Ptilde", "U", "V", "W")
-
 
 def _print_table(table, output_format):
     if output_format == "json":
@@ -40,20 +38,7 @@ def cmd_series(args):
     order = 12 if args.order is None else args.order
     if order < 0:
         raise ValueError("--order must be nonnegative")
-    family = args.family
-    census.check_row_indices(family, args.k, args.l)
-    if family == "P":
-        label, ts = "P", census.series_P(order)
-    elif family == "Q":
-        label, ts = "Q", census.series_Q(order)
-    elif family == "Ptilde":
-        label, ts = "Ptilde", census.series_P_inverse(order)
-    elif family == "U":
-        label, ts = f"U({args.k})", census.series_U(args.k, order)
-    elif family == "V":
-        label, ts = f"V({args.k})", census.series_V(args.k, order)
-    else:
-        label, ts = f"W({args.k},{args.l})", census.series_W(args.k, args.l, order)
+    label, ts = census.series_row(args.family, order, args.k, args.l)
     table = census.CountTable(family=label, provenance="series",
                               entries=dict(enumerate(ts.coeffs)))
     _print_table(table, args.output_format)
@@ -150,7 +135,7 @@ def build_parser():
     add_format(table)
 
     series_cmd = sub.add_parser("series", help="print raw series coefficients")
-    series_cmd.add_argument("--family", required=True, choices=_SERIES_FAMILIES)
+    series_cmd.add_argument("--family", required=True, choices=census.SERIES_FAMILIES)
     series_cmd.add_argument("--order", type=int, default=None,
                             help="truncation order (default 12)")
     series_cmd.add_argument("--k", type=int, help="row index for U, V, W")

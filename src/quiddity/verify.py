@@ -157,6 +157,8 @@ def golden_checks(report=None, order=GOLDEN_ORDER):
 
 def identity_checks(report=None, order=IDENTITY_ORDER):
     """Exact series identities tying the families together."""
+    if order < 3:
+        raise ValueError("identity order must be at least 3")
     report = report if report is not None else VerifyReport()
     one = TruncSeries.one(order)
     p = census.series_P(order)
@@ -216,6 +218,8 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
                  [formulas.coeff_V1(n) for n in range(1, order + 1)])
     report.check("identity:W11-formula", list(w11.coeffs),
                  [formulas.coeff_W11(n) for n in range(order + 1)])
+    report.check("identity:Q-formula", list(q.coeffs),
+                 [formulas.coeff_Q(n) for n in range(order + 1)])
     for e in (1, 2, 3):
         report.check(f"identity:P-power-{e}", list(p.pow(e).coeffs),
                      [formulas.coeff_powP(e, n) for n in range(order + 1)])

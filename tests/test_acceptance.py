@@ -40,7 +40,7 @@ def test_criterion_2_identity_suite():
                    "identity:P-W11-P", "identity:V-column-sums",
                    "identity:U-column-sums", "identity:W-row-sums",
                    "identity:V-diagonal-ones", "identity:V-positivity",
-                   "identity:V-vanishing"):
+                   "identity:V-vanishing", "identity:Q-formula"):
         assert needed in names, needed
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from quiddity import census
+from quiddity import census, formulas
 from quiddity.series import TruncSeries
 
 
@@ -166,3 +166,46 @@ def test_clear_caches_keeps_results():
     before = census.series_Q(6)
     census.clear_caches()
     assert census.series_Q(6) == before
+
+
+def test_census_route_uses_no_closed_form(monkeypatch):
+    def closed_form_called(*args):
+        raise AssertionError("the census route called a closed form")
+
+    for name in dir(formulas):
+        if name.startswith("coeff_"):
+            monkeypatch.setattr(formulas, name, closed_form_called)
+    # builds made before the patch would hide a closed-form call
+    census.clear_caches()
+    assert census.series_P(8).coeffs == (1, 1, 2, 5, 15, 48, 160, 550, 1937)
+    assert census.series_Q(8).coeffs == (1, 1, 2, 5, 15, 49, 166, 577, 2050)
+    assert census.series_P_inverse(8).coeffs == (
+        1, -1, -1, -2, -6, -18, -57, -189, -648)
+    assert census.series_U(2, 8).coeffs == (0, 0, 1, 2, 5, 16, 52, 174, 600)
+    assert census.series_V(3, 8).coeffs == (0, 0, 0, 1, 3, 9, 31, 109, 388)
+    assert census.series_W(2, 3, 8).coeffs == (0, 0, 0, 0, 1, 3, 9, 32, 114)
+    assert [census.count_S(n) for n in range(9)] == [
+        0, 0, 0, 1, 4, 14, 50, 182, 670]
+    assert [census.count_T(n) for n in range(9)] == [
+        0, 1, 2, 5, 16, 53, 180, 627, 2232]
+    families = {
+        "u": [0, 1, 3, 9, 30, 104, 368, 1324],
+        "v": [0, 1, 3, 9, 29, 99, 348, 1247],
+        "w": [0, 0, 1, 4, 14, 51, 188, 697],
+        "x": [1, 2, 6, 19, 62, 209, 726, 2580],
+        "y": [0, 0, 0, 1, 5, 20, 78, 302],
+    }
+    for tag, row in families.items():
+        assert [census.count_family(tag, n) for n in range(1, 9)] == row, tag
+    by_size = {
+        "Id": [0, 0, 1, 2, 5, 15, 49, 166, 577, 2050],
+        "S": [0, 0, 0, 0, 1, 4, 14, 50, 182, 670],
+        "T": [0, 0, 1, 2, 5, 16, 53, 180, 627, 2232],
+        "T^-1": [0, 0, 0, 1, 3, 9, 30, 104, 368, 1324],
+        "TS": [1, 0, 0, 1, 3, 9, 29, 99, 348, 1247],
+        "ST": [0, 0, 0, 0, 1, 4, 14, 51, 188, 697],
+        "TSTS": [0, 1, 1, 2, 6, 19, 62, 209, 726, 2580],
+        "STST": [0, 0, 0, 0, 0, 1, 5, 20, 78, 302],
+    }
+    for name, row in by_size.items():
+        assert [census.count_solutions(name, s) for s in range(1, 11)] == row, name

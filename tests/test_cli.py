@@ -126,6 +126,14 @@ def test_value_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "--workers", "0")[0] == 2
 
 
+def test_verify_order_below_3_exits_2(capsys):
+    for order in ("0", "2"):
+        code, out, err = run_cli(capsys, "verify", "--max-size", "0", "--order", order)
+        assert code == 2
+        assert out == ""
+        assert err == "error: identity order must be at least 3\n"
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "oracle", "--help")[0] == 0

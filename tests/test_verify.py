@@ -1,6 +1,6 @@
 import pytest
 
-from quiddity import census, cli, formulas, verify
+from quiddity import cli, formulas, verify
 
 
 def test_load_golden_shape():
@@ -62,11 +62,7 @@ def broken_coeff_Q(monkeypatch):
         value = real(n)
         return value + 1 if n == 5 else value
 
-    census.clear_caches()
     monkeypatch.setattr(formulas, "coeff_Q", off_by_one)
-    yield
-    monkeypatch.undo()
-    census.clear_caches()
 
 
 def test_fault_injection_is_named(broken_coeff_Q):
@@ -76,6 +72,9 @@ def test_fault_injection_is_named(broken_coeff_Q):
     assert first.name == "golden:Q:formula"
     assert first.expected[5] == 49
     assert first.actual[5] == 50
+    # the series route solves Q from its functional equation, so it still agrees
+    by_name = {r.name: r.passed for r in report.results}
+    assert by_name["golden:Q:series"] and not by_name["golden:Q:formula"]
 
 
 def test_fault_injection_through_cli(broken_coeff_Q, capsys):
