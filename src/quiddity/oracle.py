@@ -25,6 +25,14 @@ histograms and, when asked for, the tuples themselves come out of the
 same join.  The first component is never enumerated: a pinned first
 component, even one above the bound, is a range of one value.
 
+Both the middle table and the suffix sweep walk their boxes with one
+odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
+its innermost digit is a single row addition on the running product.
+
+The direct route, the reference the join is checked against, shares
+no code with the join: it enumerates every tuple of the box once and
+looks each product up among all targets and their negations.
+
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
 bound_touches reports how many solutions have a component at or above
@@ -116,40 +124,49 @@ class SurveyResult:
     exhaustive_within_bound: dict
 
 
-def _iter_products(lows, highs, bound):
-    """Yield (digits, product, touched) over a digit box in ascending order.
+def _iter_products(lows, highs):
+    """Yield (digits, product) over a digit box in ascending lexicographic order.
 
-    The product is m_n(digits) as an entry 4-tuple, maintained
-    incrementally: an odometer step only rebuilds the levels to the
-    right of the digit that moved.  touched flags max(digits) >= bound.
+    digits is one live list, updated in place between steps: a caller
+    that keeps it must copy it.  The product is m_n(digits) as an entry
+    4-tuple.  elem(a + 1) = elem(a) + E11, so stepping the innermost
+    digit adds the second row of the product to its first,
+    (p, q, r, s) -> (p + r, q + s, r, s); any other odometer step
+    rebuilds only the levels to the right of the digit that moved.
     """
     length = len(lows)
     if length == 0:
-        yield (), _IDENT, False
+        yield [], _IDENT
         return
     digits = list(lows)
-    mats = [None] * length
-    prev = _IDENT
-    for i in range(length):
-        a = digits[i]
-        p, q, r, s = prev
-        prev = (a * p - r, a * q - s, p, q)
-        mats[i] = prev
+    last = length - 1
+    last_lo, last_hi = lows[last], highs[last]
+    # mats[j] is the product over digits[:j + 1]; the innermost level is
+    # kept in local variables instead
+    mats = [None] * last
+    i = 0
     while True:
-        yield tuple(digits), mats[-1], max(digits) >= bound
-        i = length - 1
+        prev = mats[i - 1] if i > 0 else _IDENT
+        for j in range(i, last):
+            a = digits[j]
+            p, q, r, s = prev
+            prev = (a * p - r, a * q - s, p, q)
+            mats[j] = prev
+        # elem(a) * prev has first row a*(r, s) - (x, y) and second row (r, s)
+        r, s, x, y = prev
+        p, q = last_lo * r - x, last_lo * s - y
+        for a in range(last_lo, last_hi + 1):
+            digits[last] = a
+            yield digits, (p, q, r, s)
+            p += r
+            q += s
+        i = last - 1
         while i >= 0 and digits[i] >= highs[i]:
             digits[i] = lows[i]
             i -= 1
         if i < 0:
             return
         digits[i] += 1
-        prev = mats[i - 1] if i > 0 else _IDENT
-        for j in range(i, length):
-            a = digits[j]
-            p, q, r, s = prev
-            prev = (a * p - r, a * q - s, p, q)
-            mats[j] = prev
 
 
 def _projected(lows, highs):
@@ -213,7 +230,7 @@ def _sorted_histograms(by_last, by_first_last):
     return dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
-def _build_table(lows, highs, bound):
+def _build_table(lows, highs):
     """Map canonical Z*e1 -> [(z2, middle tuple), ...] over the middle box.
 
     Z is sign-normalized so that its first column has a positive first
@@ -221,10 +238,10 @@ def _build_table(lows, highs, bound):
     its entry in the row of that first nonzero entry (det Z = 1).
     """
     table = {}
-    for digits, (a, b, c, d), _touched in _iter_products(lows, highs, bound):
+    for digits, (a, b, c, d) in _iter_products(lows, highs):
         if a < 0 or (a == 0 and c < 0):
             a, b, c, d = -a, -b, -c, -d
-        table.setdefault((a, c), []).append((b if a else d, digits))
+        table.setdefault((a, c), []).append((b if a else d, tuple(digits)))
     return table
 
 
@@ -242,8 +259,7 @@ def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_lis
     solutions = [[] for _ in range(n_targets)] if want_list else None
     tget = table.get
     indexed_rows = list(enumerate(target_rows))
-    for digits, (p, q, r, s), stouched in _iter_products(slows, shighs, bound):
-        last = digits[-1]
+    for digits, (p, q, r, s) in _iter_products(slows, shighs):
         for ti, (ta, tb, tc, td) in indexed_rows:
             # R = Suf^-1 * target with Suf^-1 = [[s, -q], [-r, p]]; probe R*e2
             x = s * tb - q * td
@@ -264,15 +280,17 @@ def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_lis
                 first = (r1 - z2) // z1
                 if first < first_lo or first > first_hi:
                     continue
+                last = digits[-1]
                 counts[ti] += 1
-                touches[ti] += stouched or first >= bound or max(mid, default=0) >= bound
+                touches[ti] += (max(digits) >= bound or first >= bound
+                                or max(mid, default=0) >= bound)
                 row = by_last[ti]
                 row[last] = row.get(last, 0) + 1
                 pair = (first, last)
                 fl = by_first_last[ti]
                 fl[pair] = fl.get(pair, 0) + 1
                 if solutions is not None:
-                    solutions[ti].append((first,) + mid + digits)
+                    solutions[ti].append((first,) + mid + tuple(digits))
     return counts, touches, by_last, by_first_last, solutions
 
 
@@ -338,33 +356,70 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     h = (size + 1) // 2
     _check_budget(_projected(lows[1:h], highs[1:h]), budget, "the middle table")
     _check_budget(_projected(lows[h:], highs[h:]), budget, "the suffix sweep")
-    table = _build_table(lows[1:h], highs[1:h], bound)
+    table = _build_table(lows[1:h], highs[1:h])
     ctx = (table, target_rows, tuple(lows[h:]), tuple(highs[h:]), bound,
            lows[0], highs[0], want_list)
     parts = _run_partitioned(lows[h], highs[h], workers, ctx)
     return _merge_joins(parts, len(target_rows))
 
 
-def _solve_direct(entries, size, bound, fixed, want_list):
-    """Plain full enumeration; the reference the join is checked against."""
-    negated = tuple(-e for e in entries)
-    lows, highs = _box(size, bound, fixed)
-    count = 0
-    touches = 0
-    by_last = {}
-    by_first_last = {}
-    solutions = [] if want_list else None
-    for digits, mat, touched in _iter_products(lows, highs, bound):
-        if mat == entries or mat == negated:
-            count += 1
-            touches += touched
-            last = digits[-1]
-            by_last[last] = by_last.get(last, 0) + 1
-            pair = (digits[0], last)
-            by_first_last[pair] = by_first_last.get(pair, 0) + 1
+def _solve_direct(target_rows, lows, highs, bound, want_list):
+    """Plain full enumeration; the reference the join is checked against.
+
+    One walk over every tuple of the box serves all targets: each
+    product is looked up in a dict from the target entry rows and their
+    negations to target indices, so targets equal up to sign are all
+    credited.  Returns the same per-target lists as _merge_joins.
+    """
+    n_targets = len(target_rows)
+    hits = {}
+    for ti, entries in enumerate(target_rows):
+        for key in {entries, tuple(-e for e in entries)}:
+            hits.setdefault(key, []).append(ti)
+    counts = [0] * n_targets
+    touches = [0] * n_targets
+    by_last = [{} for _ in range(n_targets)]
+    by_first_last = [{} for _ in range(n_targets)]
+    solutions = [[] for _ in range(n_targets)] if want_list else None
+    hget = hits.get
+    for digits, mat in _iter_products(lows, highs):
+        matched = hget(mat)
+        if matched is None:
+            continue
+        touched = max(digits) >= bound
+        last = digits[-1]
+        pair = (digits[0], last)
+        for ti in matched:
+            counts[ti] += 1
+            touches[ti] += touched
+            row = by_last[ti]
+            row[last] = row.get(last, 0) + 1
+            fl = by_first_last[ti]
+            fl[pair] = fl.get(pair, 0) + 1
             if solutions is not None:
-                solutions.append(digits)
-    return count, touches, _sorted_histograms(by_last, by_first_last), solutions
+                solutions[ti].append(tuple(digits))
+    histograms = [_sorted_histograms(row, fl) for row, fl in zip(by_last, by_first_last)]
+    return counts, touches, histograms, solutions
+
+
+def _resolve_method(method, size):
+    """The route a method name selects at this size: "direct" or "mitm"."""
+    if method not in ("auto", "direct", "mitm"):
+        raise ValueError(f"method must be auto, direct or mitm, got {method!r}")
+    if method == "auto":
+        method = "direct" if size <= 3 else "mitm"
+    if method == "mitm" and size < 2:
+        raise ValueError("the meet-in-the-middle route needs size >= 2")
+    return method
+
+
+def _solve_batch(method, target_rows, size, bound, fixed, workers, budget, want_list):
+    """Counts, touches, histograms and listings per target, by the given route."""
+    if method == "direct":
+        lows, highs = _box(size, bound, fixed)
+        _check_budget(_projected(lows, highs), budget, "direct enumeration")
+        return _solve_direct(target_rows, lows, highs, bound, want_list)
+    return _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list)
 
 
 def solve(query):
@@ -377,27 +432,13 @@ def solve(query):
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
     fixed = _normalize_constraints(query.constraints, size)
-    method = query.method
-    if method not in ("auto", "direct", "mitm"):
-        raise ValueError(f"method must be auto, direct or mitm, got {method!r}")
-    if method == "auto":
-        method = "direct" if size <= 3 else "mitm"
-    if method == "mitm" and size < 2:
-        raise ValueError("the meet-in-the-middle route needs size >= 2")
-    budget = query.max_table_entries
-    entries = mat.entries()
-
-    if method == "direct":
-        lows, highs = _box(size, bound, fixed)
-        _check_budget(_projected(lows, highs), budget, "direct enumeration")
-        count, touches, (by_last, by_first_last), listed = _solve_direct(
-            entries, size, bound, fixed, query.list_solutions)
-    else:
-        counts, touch_list, histograms, listings = _solve_mitm(
-            [entries], size, bound, fixed, query.workers, budget, query.list_solutions)
-        count, touches = counts[0], touch_list[0]
-        by_last, by_first_last = histograms[0]
-        listed = listings[0] if listings is not None else None
+    method = _resolve_method(query.method, size)
+    counts, touches, histograms, listings = _solve_batch(
+        method, [mat.entries()], size, bound, fixed, query.workers,
+        query.max_table_entries, query.list_solutions)
+    by_last, by_first_last = histograms[0]
+    listed = listings[0] if listings is not None else None
+    if method == "mitm":
         for digits in listed or ():
             if not equal_up_to_sign(m_n(digits), mat):
                 raise RuntimeError(f"internal error: {digits} fails re-verification")
@@ -407,8 +448,8 @@ def solve(query):
         target_name=name,
         size=size,
         bound=bound,
-        count=count,
-        bound_touches=touches,
+        count=counts[0],
+        bound_touches=touches[0],
         by_last=by_last,
         by_first_last=by_first_last,
         method=method,
@@ -418,11 +459,13 @@ def solve(query):
 
 
 def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTRIES,
-           targets=None):
+           targets=None, method="auto"):
     """Count solutions for a whole batch of targets at one size.
 
-    All targets share a single middle table and a single suffix sweep,
-    so surveying the eight named targets costs little more than one.
+    method takes the values of OracleQuery.method.  All targets share
+    one walk of the box: a single middle table and suffix sweep, or a
+    single direct enumeration, so surveying the eight named targets
+    costs little more than one.
     """
     if targets is None:
         specs = list(TARGETS)
@@ -446,18 +489,9 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
         raise ValueError(f"bound must be a positive integer, got {bound!r}")
 
-    if size <= 3:
-        lows, highs = _box(size, bound, {})
-        _check_budget(_projected(lows, highs), max_table_entries, "direct enumeration")
-        counts, touches, histograms = [], [], []
-        for entries in entry_rows:
-            cnt, tch, hists, _ = _solve_direct(entries, size, bound, {}, False)
-            counts.append(cnt)
-            touches.append(tch)
-            histograms.append(hists)
-    else:
-        counts, touches, histograms, _ = _solve_mitm(
-            entry_rows, size, bound, {}, workers, max_table_entries, False)
+    method = _resolve_method(method, size)
+    counts, touches, histograms, _ = _solve_batch(
+        method, entry_rows, size, bound, {}, workers, max_table_entries, False)
 
     return SurveyResult(
         size=size,

@@ -49,16 +49,18 @@ def test_counts_match_census():
 
 
 def test_direct_and_mitm_agree_on_everything():
-    for name in matrices.TARGETS:
-        a = solve(OracleQuery(target=name, size=5, method="direct"))
-        b = solve(OracleQuery(target=name, size=5, method="mitm"))
-        # item lists, so the key order must agree too
-        assert (a.count, a.bound_touches, list(a.by_last.items()),
-                list(a.by_first_last.items())) == (
-            b.count, b.bound_touches, list(b.by_last.items()),
-            list(b.by_first_last.items()))
-        assert list(a.by_last) == sorted(a.by_last)
-        assert list(a.by_first_last) == sorted(a.by_first_last)
+    # at sizes 2 and 3 the suffix after the middle is a single digit
+    for size in (2, 3, 5):
+        for name in matrices.TARGETS:
+            a = _listing(name, size, method="direct")
+            b = _listing(name, size, method="mitm")
+            # item lists, so the key order must agree too
+            assert (a.count, a.bound_touches, a.solutions, list(a.by_last.items()),
+                    list(a.by_first_last.items())) == (
+                b.count, b.bound_touches, b.solutions, list(b.by_last.items()),
+                list(b.by_first_last.items())), (name, size)
+            assert list(a.by_last) == sorted(a.by_last)
+            assert list(a.by_first_last) == sorted(a.by_first_last)
 
 
 def test_histograms_match_listing():
@@ -246,3 +248,51 @@ def test_workers_fall_back_to_serial_without_fork(monkeypatch, capsys):
     assert cli.main(["oracle", "--target", "Id", "--size", "8",
                      "--workers", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "Id,8,8,166,0,True"
+
+
+def test_iter_products_odometer():
+    # boxes of length 0 and 1, the innermost digit pinned, a pinned middle
+    # digit, and a pinned digit above the bound
+    boxes = [([], []), ([1], [4]), ([3], [3]), ([1, 1, 2], [3, 3, 2]),
+             ([1, 2, 1], [3, 2, 3]), ([1, 1, 5, 1], [2, 2, 5, 2]),
+             ([7, 1, 1], [7, 3, 3])]
+    for lows, highs in boxes:
+        seen = []
+        for digits, product in oracle._iter_products(lows, highs):
+            expected = matrices.m_n(digits) if digits else matrices.IDENTITY
+            assert product == expected.entries(), (lows, highs, digits)
+            seen.append(tuple(digits))
+        box = [()]
+        for lo, hi in zip(lows, highs):
+            box = [t + (a,) for t in box for a in range(lo, hi + 1)]
+        assert seen == box, (lows, highs)
+        assert seen == sorted(seen)
+
+
+def test_batched_direct_walk_matches_single_solves():
+    # "Id" and -Id are equal up to sign and must both be credited;
+    # [[2,3],[1,2]] lies outside the named eight
+    targets = list(matrices.TARGETS) + ["[[-1,0],[0,-1]]", "[[2,3],[1,2]]"]
+    for size in (5, 6):
+        sv = survey(size, targets=targets, method="direct")
+        assert list(sv.counts) == list(matrices.TARGETS) + ["[[-1,0],[0,-1]]",
+                                                             "[[2,3],[1,2]]"]
+        for label, target in zip(sv.counts, targets):
+            single = solve(OracleQuery(target=target, size=size, method="direct"))
+            assert (sv.counts[label], sv.bound_touches[label],
+                    list(sv.by_last[label].items()),
+                    list(sv.by_first_last[label].items())) == (
+                single.count, single.bound_touches, list(single.by_last.items()),
+                list(single.by_first_last.items())), (size, label)
+        assert sv.counts["[[-1,0],[0,-1]]"] == sv.counts["Id"] > 0
+        assert sv.counts["[[2,3],[1,2]]"] > 0
+
+
+def test_survey_methods_agree_and_validate():
+    direct = survey(5, method="direct")
+    assert survey(5, method="mitm") == direct
+    assert survey(5) == direct
+    with pytest.raises(ValueError):
+        survey(5, method="magic")
+    with pytest.raises(ValueError):
+        survey(1, method="mitm")

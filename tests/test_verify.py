@@ -83,3 +83,13 @@ def test_fault_injection_through_cli(broken_coeff_Q, capsys):
     assert code == 1
     assert captured.err.startswith("first failure: golden:Q:formula")
     assert "FAIL" in captured.out
+
+
+def test_direct_vs_mitm_labels_and_values():
+    report = verify.oracle_checks(max_size=5)
+    (row,) = [r for r in report.results if r.name == "oracle:direct-vs-mitm:size-5"]
+    assert list(row.expected) == ["Id", "S", "T", "T^-1", "TS", "ST", "TSTS", "STST",
+                                  "Id:bound-2", "TSTS:first-4:bound-2",
+                                  "[[2,3],[1,2]]"]
+    assert row.expected == row.actual
+    assert row.passed
