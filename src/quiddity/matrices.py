@@ -200,8 +200,12 @@ def parse_target(text):
             or any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row)
         ):
             raise WordParseError(f"matrix literal must be [[a,b],[c,d]] with integers, got {text!r}")
-        mat = Mat2(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-        if mat.det() != 1:
-            raise ValueError(f"target {mat} has determinant {mat.det()}, expected 1")
-        return mat
+        return check_target(Mat2(rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
     return word_to_matrix(parse_word(text))
+
+
+def check_target(mat):
+    """Return mat if it lies in SL(2,Z); raise ValueError otherwise."""
+    if mat.det() != 1:
+        raise ValueError(f"target {mat} has determinant {mat.det()}, expected 1")
+    return mat

@@ -22,8 +22,14 @@ the first column is canonical (first nonzero entry positive), keyed by
 that column.  Each suffix then costs one probe per target, and each
 hit solves a_1 in closed form, so the count, the bound touches, both
 histograms and, when asked for, the tuples themselves come out of the
-same join.  The first component is never enumerated: a pinned first
-component, even one above the bound, is a range of one value.
+same join.  The first component is never enumerated.
+
+An end component pinned to v is folded into the targets before the
+split, since m_n(v, a_2..a_m) = m_n(a_2..a_m) * elem(v) and
+m_n(a_1..a_(m-1), v) = elem(v) * m_n(a_1..a_(m-1)).  The join then
+solves a problem one shorter, so the closed form and the additive step
+act on free digits; its pairs, listings and bound touches get v back.
+_end_to_fold says when an end is folded.
 
 Both the middle table and the suffix sweep walk their boxes with one
 odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
@@ -43,7 +49,7 @@ the usual saturation sanity signal.
 import multiprocessing
 from dataclasses import dataclass
 
-from .matrices import Mat2, TARGETS, equal_up_to_sign, m_n, parse_target
+from .matrices import Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
 
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
 
@@ -81,10 +87,10 @@ class OracleQuery:
 class SolutionSet:
     """Result of one solve: the count plus component histograms.
 
-    by_last maps last component -> count; by_first_last maps the pair
-    (first, last) -> count, both with sorted keys; solutions is a
-    lexicographically sorted tuple of component tuples when listing was
-    requested, else None.
+    by_first_last maps the pair (first, last) -> count and by_last, its
+    marginal, maps last component -> count, both with sorted keys;
+    solutions is a lexicographically sorted tuple of component tuples
+    when listing was requested, else None.
 
     exhaustive_within_bound is True when every solution of the equation
     provably has all free components within the bound, which holds for
@@ -186,7 +192,7 @@ def _check_budget(projected, budget, label):
 
 def _normalize_target(spec):
     if isinstance(spec, Mat2):
-        mat = spec
+        mat = check_target(spec)
     elif isinstance(spec, str):
         mat = parse_target(spec)
     else:
@@ -225,8 +231,14 @@ def _box(size, bound, fixed):
     return lows, highs
 
 
-def _sorted_histograms(by_last, by_first_last):
-    """Histograms with sorted keys, so no traversal order leaks out."""
+def _histograms(by_first_last):
+    """(by_last, by_first_last) with sorted keys, so no traversal order leaks out.
+
+    by_last is the marginal of by_first_last over the first component.
+    """
+    by_last = {}
+    for (_, last), count in by_first_last.items():
+        by_last[last] = by_last.get(last, 0) + count
     return dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
@@ -248,13 +260,12 @@ def _build_table(lows, highs):
 def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list):
     """Sweep the suffix box against the middle table, solving a_1 per hit.
 
-    Returns per-target lists: counts, bound touches, by_last and
-    by_first_last (unsorted), and the solution tuples (or None).
+    Returns per-target lists: counts, bound touches, by_first_last
+    (unsorted), and the solution tuples (or None).
     """
     n_targets = len(target_rows)
     counts = [0] * n_targets
     touches = [0] * n_targets
-    by_last = [{} for _ in range(n_targets)]
     by_first_last = [{} for _ in range(n_targets)]
     solutions = [[] for _ in range(n_targets)] if want_list else None
     tget = table.get
@@ -280,18 +291,15 @@ def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_lis
                 first = (r1 - z2) // z1
                 if first < first_lo or first > first_hi:
                     continue
-                last = digits[-1]
                 counts[ti] += 1
                 touches[ti] += (max(digits) >= bound or first >= bound
                                 or max(mid, default=0) >= bound)
-                row = by_last[ti]
-                row[last] = row.get(last, 0) + 1
-                pair = (first, last)
+                pair = (first, digits[-1])
                 fl = by_first_last[ti]
                 fl[pair] = fl.get(pair, 0) + 1
                 if solutions is not None:
                     solutions[ti].append((first,) + mid + tuple(digits))
-    return counts, touches, by_last, by_first_last, solutions
+    return counts, touches, by_first_last, solutions
 
 
 _WORKER_CTX = None
@@ -331,31 +339,86 @@ def _run_partitioned(lo, hi, workers, ctx):
 def _merge_joins(parts, n_targets):
     counts = [0] * n_targets
     touches = [0] * n_targets
-    by_last = [{} for _ in range(n_targets)]
     by_first_last = [{} for _ in range(n_targets)]
-    solutions = [[] for _ in range(n_targets)] if parts[0][4] is not None else None
-    for part_counts, part_touches, part_last, part_fl, part_solutions in parts:
+    solutions = [[] for _ in range(n_targets)] if parts[0][3] is not None else None
+    for part_counts, part_touches, part_fl, part_solutions in parts:
         for ti in range(n_targets):
             counts[ti] += part_counts[ti]
             touches[ti] += part_touches[ti]
-            for merged, part in ((by_last[ti], part_last[ti]), (by_first_last[ti], part_fl[ti])):
-                for key, value in part.items():
-                    merged[key] = merged.get(key, 0) + value
+            merged = by_first_last[ti]
+            for key, value in part_fl[ti].items():
+                merged[key] = merged.get(key, 0) + value
             if solutions is not None:
                 solutions[ti].extend(part_solutions[ti])
-    histograms = [_sorted_histograms(last, fl) for last, fl in zip(by_last, by_first_last)]
     if solutions is not None:
         for listed in solutions:
             listed.sort()
-    return counts, touches, histograms, solutions
+    return counts, touches, by_first_last, solutions
+
+
+def _side_sizes(size, bound, fixed):
+    """Tuples in the middle table (a_2..a_h) and the suffix sweep (a_(h+1)..a_m)."""
+    lows, highs = _box(size, bound, fixed)
+    h = (size + 1) // 2
+    return _projected(lows[1:h], highs[1:h]), _projected(lows[h:], highs[h:])
+
+
+def _end_to_fold(size, bound, fixed):
+    """(at_first, constraints left) for the pinned end to fold, or None.
+
+    An end is folded only while size > 2 and only if the larger of the
+    middle table and the suffix sweep does not grow: moving the split can
+    shift interior pins across it (size 5 with a_2 and a_5 pinned would go
+    from two sides of bound tuples to a sweep of bound^2).
+    """
+    if size <= 2:
+        return None
+    largest = max(_side_sizes(size, bound, fixed))
+    for pos in (1, size):
+        if pos in fixed:
+            inner = {p - (pos == 1): value for p, value in fixed.items() if p != pos}
+            if max(_side_sizes(size - 1, bound, inner)) <= largest:
+                return pos == 1, inner
+    return None
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
-    """Count (and optionally list) solutions for a batch of targets: one table, one join."""
+    """Count (and optionally list) solutions for a batch of targets: one table, one join.
+
+    An end pinned to v is first folded into the targets, which leaves a
+    problem of size - 1.  With elem(v)^-1 = [[0, 1], [-1, v]], a pinned
+    first component needs m_(n-1)(a_2..a_n) = +/-target * elem(v)^-1 and
+    a pinned last one m_(n-1)(a_1..a_(n-1)) = +/-elem(v)^-1 * target.
+    Counts carry over; pairs, listings and bound touches gain v back.
+    """
+    fold = _end_to_fold(size, bound, fixed)
+    if fold is not None:
+        at_first, inner = fold
+        v = fixed[1 if at_first else size]
+        if at_first:
+            rows = [(-b, a + v * b, -d, c + v * d) for a, b, c, d in target_rows]
+        else:
+            rows = [(c, d, v * c - a, v * d - b) for a, b, c, d in target_rows]
+        counts, touches, by_first_last, solutions = _solve_mitm(
+            rows, size - 1, bound, inner, workers, budget, want_list)
+        if v >= bound:
+            touches = list(counts)
+        folded = []
+        for pairs in by_first_last:
+            merged = {}
+            for (first, last), count in pairs.items():
+                key = (v, last) if at_first else (first, v)
+                merged[key] = merged.get(key, 0) + count
+            folded.append(merged)
+        if solutions is not None:
+            solutions = [[(v,) + t for t in listed] if at_first else [t + (v,) for t in listed]
+                         for listed in solutions]
+        return counts, touches, folded, solutions
+    middle, suffix = _side_sizes(size, bound, fixed)
+    _check_budget(middle, budget, "the middle table")
+    _check_budget(suffix, budget, "the suffix sweep")
     lows, highs = _box(size, bound, fixed)
     h = (size + 1) // 2
-    _check_budget(_projected(lows[1:h], highs[1:h]), budget, "the middle table")
-    _check_budget(_projected(lows[h:], highs[h:]), budget, "the suffix sweep")
     table = _build_table(lows[1:h], highs[1:h])
     ctx = (table, target_rows, tuple(lows[h:]), tuple(highs[h:]), bound,
            lows[0], highs[0], want_list)
@@ -369,7 +432,8 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     One walk over every tuple of the box serves all targets: each
     product is looked up in a dict from the target entry rows and their
     negations to target indices, so targets equal up to sign are all
-    credited.  Returns the same per-target lists as _merge_joins.
+    credited.  Returns the same per-target lists as _merge_joins, with
+    the solutions in ascending order.
     """
     n_targets = len(target_rows)
     hits = {}
@@ -378,7 +442,6 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
             hits.setdefault(key, []).append(ti)
     counts = [0] * n_targets
     touches = [0] * n_targets
-    by_last = [{} for _ in range(n_targets)]
     by_first_last = [{} for _ in range(n_targets)]
     solutions = [[] for _ in range(n_targets)] if want_list else None
     hget = hits.get
@@ -387,19 +450,15 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
         if matched is None:
             continue
         touched = max(digits) >= bound
-        last = digits[-1]
-        pair = (digits[0], last)
+        pair = (digits[0], digits[-1])
         for ti in matched:
             counts[ti] += 1
             touches[ti] += touched
-            row = by_last[ti]
-            row[last] = row.get(last, 0) + 1
             fl = by_first_last[ti]
             fl[pair] = fl.get(pair, 0) + 1
             if solutions is not None:
                 solutions[ti].append(tuple(digits))
-    histograms = [_sorted_histograms(row, fl) for row, fl in zip(by_last, by_first_last)]
-    return counts, touches, histograms, solutions
+    return counts, touches, by_first_last, solutions
 
 
 def _resolve_method(method, size):
@@ -418,8 +477,12 @@ def _solve_batch(method, target_rows, size, bound, fixed, workers, budget, want_
     if method == "direct":
         lows, highs = _box(size, bound, fixed)
         _check_budget(_projected(lows, highs), budget, "direct enumeration")
-        return _solve_direct(target_rows, lows, highs, bound, want_list)
-    return _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list)
+        counts, touches, by_first_last, solutions = _solve_direct(
+            target_rows, lows, highs, bound, want_list)
+    else:
+        counts, touches, by_first_last, solutions = _solve_mitm(
+            target_rows, size, bound, fixed, workers, budget, want_list)
+    return counts, touches, [_histograms(pairs) for pairs in by_first_last], solutions
 
 
 def solve(query):

@@ -10,6 +10,12 @@ def _listing(target, size, bound=None, method="auto", constraints=None):
                              method=method))
 
 
+def _summary(res):
+    # item lists, so the key order must agree too
+    return (res.count, res.bound_touches, list(res.by_last.items()),
+            list(res.by_first_last.items()), res.solutions)
+
+
 def test_pinned_listings():
     assert _listing("Id", 3).solutions == ((1, 1, 1),)
     assert _listing("Id", 4).solutions == ((1, 2, 1, 2), (2, 1, 2, 1))
@@ -54,11 +60,7 @@ def test_direct_and_mitm_agree_on_everything():
         for name in matrices.TARGETS:
             a = _listing(name, size, method="direct")
             b = _listing(name, size, method="mitm")
-            # item lists, so the key order must agree too
-            assert (a.count, a.bound_touches, a.solutions, list(a.by_last.items()),
-                    list(a.by_first_last.items())) == (
-                b.count, b.bound_touches, b.solutions, list(b.by_last.items()),
-                list(b.by_first_last.items())), (name, size)
+            assert _summary(a) == _summary(b), (name, size)
             assert list(a.by_last) == sorted(a.by_last)
             assert list(a.by_first_last) == sorted(a.by_first_last)
 
@@ -296,3 +298,69 @@ def test_survey_methods_agree_and_validate():
         survey(5, method="magic")
     with pytest.raises(ValueError):
         survey(1, method="mitm")
+
+
+def test_targets_outside_sl2z_are_refused():
+    for mat in (matrices.Mat2(2, 0, 0, 1), matrices.Mat2(1, 1, 1, 3)):
+        for method in ("direct", "mitm"):
+            with pytest.raises(ValueError, match="determinant"):
+                solve(OracleQuery(target=mat, size=6, method=method))
+            with pytest.raises(ValueError, match="determinant"):
+                solve(OracleQuery(target=mat, size=6, method=method, list_solutions=True))
+        with pytest.raises(ValueError, match="determinant"):
+            survey(6, targets=["Id", mat])
+
+
+def test_folded_mitm_matches_direct():
+    # one end pinned, both ends pinned, ends pinned at or above a lowered
+    # bound, and an end pin with an interior pin (at size 5, {2: 1, 5: 2} is
+    # left unfolded: see test_pinned_ends_are_folded)
+    targets = list(matrices.TARGETS) + ["[[2,3],[1,2]]"]
+    for size in range(3, 8):
+        cases = [(None, {1: 2}), (None, {size: 3}), (None, {1: 1, size: 2}),
+                 (2, {1: size - 1}), (2, {size: size}), (2, {1: 3, size: 4}),
+                 (3, {1: 3}), (3, {size: 3}),
+                 (None, {2: 1, size: 2}), (None, {1: 2, size - 1: 1})]
+        for target in targets:
+            for bound, pins in cases:
+                results = [_summary(solve(OracleQuery(
+                    target=target, size=size, bound=bound, constraints=pins,
+                    list_solutions=True, method=method))) for method in ("direct", "mitm")]
+                assert results[0] == results[1], (target, size, bound, pins)
+
+
+def test_pinned_ends_are_folded(monkeypatch):
+    yielded = []
+    real = oracle._iter_products
+
+    def counting(lows, highs):
+        yielded.append(0)
+        for step in real(lows, highs):
+            yielded[-1] += 1
+            yield step
+
+    monkeypatch.setattr(oracle, "_iter_products", counting)
+    # the table comes first, then one sweep per first suffix digit
+    # table over a_3..a_6, sweep over a_7..a_10 (unfolded: a 10^5 sweep)
+    assert oracle.count_component_at("Id", 10, 1, 3) == census.series_V(3, 8).coeff(8)
+    assert (yielded[0], sum(yielded[1:])) == (10 ** 4, 10 ** 4)
+    # table over a_3..a_5, sweep over a_6..a_9 (unfolded: 10^4 and 10^4)
+    yielded.clear()
+    assert oracle.count_first_last("Id", 10, 2, 3) == census.series_W(2, 3, 8).coeff(8)
+    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
+    # folding a_5 would move the split past the pinned a_2 and turn two
+    # sides of 5 tuples into a sweep of 25, over this budget
+    want = sum(1 for d in _listing("Id", 5).solutions if (d[1], d[4]) == (1, 2))
+    assert solve(OracleQuery(target="Id", size=5, constraints={2: 1, 5: 2},
+                             max_table_entries=5)).count == want == 1
+
+
+def test_folded_solve_is_the_same_for_any_worker_count():
+    # the last case pins both ends, the last one above the bound
+    for bound, pins in ((None, {1: 3}), (None, {8: 2}), (3, {1: 2, 8: 4})):
+        serial, forked = (solve(OracleQuery(target="Id", size=8, bound=bound,
+                                            constraints=pins, list_solutions=True,
+                                            workers=workers))
+                          for workers in (1, 2))
+        assert serial == forked, pins
+        assert serial.count > 0, pins
