@@ -13,14 +13,17 @@ Families, all counting solution tuples of size n + 2 for their target:
 
 The series of one truncation order come from one cached build: P and Q
 solved from their functional equations, and rows grown by U1 = 1 - 1/P.
-No closed form enters it; P, Q, Ptilde, D, E, F also exist as closed-form
-rows (see `formulas`), the independent second route.
+The named-target rows are fixed sums of the same build's Q, V(d) and
+W(1,k) coefficients, so a table of any family, and a count or last-
+component histogram of any size, reads one build.  No closed form
+enters it; P, Q, Ptilde, D, E, F also exist as closed-form rows (see
+`formulas`), the independent second route.
 """
 
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from . import formulas
@@ -68,6 +71,7 @@ class _Build:
         self.u1 = one.sub(self.p_inverse)
         v1 = self.q.sub(one).mul(self.p_inverse)
         self._rows = {"U": [self.u1], "V": [v1], "W": [self.p_inverse.mul(v1)]}
+        self._targets = None
 
     def row(self, family, j):
         """Row j >= 1 of U, V or W(1, .)."""
@@ -77,6 +81,30 @@ class _Build:
         while len(rows) < j:
             rows.append(rows[-1].mul(self.u1))
         return rows[j - 1]
+
+    def targets(self):
+        """The rows S, T, u..y at n = 0..order-1, as sums of Q, V and W(1, .).
+
+        x(n) reads V(1) at n + 1, hence the one index short of the order.
+        An entry below its family's first index is not a count.
+        """
+        if self._targets is None:
+            order = self.u1.order
+            q = self.q.coeffs
+            v = {d: self.row("V", d).coeffs for d in range(1, order + 1)}
+            w = {k: self.row("W", k).coeffs for k in range(1, order + 1)}
+            s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
+            self._targets = {
+                "S": s,
+                "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
+                "u": [q[n] - v[1][n] for n in range(order)],
+                "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
+                "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
+                      for n in range(order)],
+                "x": [v[1][n + 1] for n in range(order)],
+                "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
+            }
+        return self._targets
 
 
 @lru_cache(maxsize=None)
@@ -137,66 +165,26 @@ def series_row(family, order, k=None, l=None):
     return family, {"P": build.p, "Q": build.q, "Ptilde": build.p_inverse}[family]
 
 
-def _v_coeff(k, n):
-    return _build(n).row("V", k).coeff(n)
-
-
-def count_S(n):
-    """Solutions of size n + 2 for target S."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n <= 2:
-        return 0
-    return sum((d - 1) * _v_coeff(d, n - 1) for d in range(2, n))
-
-
-def count_T(n):
-    """Solutions of size n + 2 for target T."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 0
-    return count_S(n - 1) + _build(n).q.coeff(n)
-
-
-def count_family(tag, n):
-    """Solutions of size n + 2 for targets T^-1, TS, ST, TSTS, STST (tags u,v,w,x,y)."""
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    if tag == "u":
-        return _build(n).q.coeff(n) - _v_coeff(1, n)
-    if tag == "v":
-        if n == 1:
-            return 0
-        return _build(n - 1).q.coeff(n - 1) + count_S(n)
-    if tag == "w":
-        w_sum = sum(_build(n).row("W", k).coeff(n) for k in range(1, n + 1))
-        return _build(n).q.coeff(n) - 2 * w_sum + _build(n).row("W", 1).coeff(n)
-    if tag == "x":
-        return _v_coeff(1, n + 1)
-    if tag == "y":
-        return sum((d - 2) * _v_coeff(d, n - 1) for d in range(3, n))
-    raise ValueError(f"unknown family tag {tag!r}")
-
-
-def count_S_by_last(n, d):
-    """Solutions of size n + 2 for target S whose last component is d."""
-    if n < 3:
-        raise ValueError("index must be at least 3")
-    if d < 1 or d > n - 2:
-        return 0
-    return sum(_v_coeff(k, n - 1) for k in range(d + 1, n))
-
-
-def count_T_by_last(n, d):
-    """Solutions of size n + 2 for target T whose last component is d."""
-    if n < 1:
-        raise ValueError("index must be at least 1")
-    if d < 1 or d > n + 1:
-        return 0
-    if d == 1:
-        return count_S(n - 1) if n >= 1 else 0
-    return _v_coeff(d - 1, n)
+def by_last(target_name, size):
+    """Nonzero census counts of the Id, S or T solutions of one size, by last component."""
+    if target_name not in ("Id", "S", "T"):
+        raise ValueError(f"no last-component census for target {target_name!r}")
+    if size < 3:
+        raise ValueError("size must be at least 3")
+    n = size - 2
+    build = _build(n + 1)
+    if target_name == "Id":
+        counts = {k: build.row("V", k).coeff(n) for k in range(1, n + 1)}
+    elif target_name == "S":
+        # an S solution ending in d is an Id solution one shorter ending in k > d
+        counts = {d: sum(build.row("V", k).coeff(n - 1) for k in range(d + 1, n))
+                  for d in range(1, n - 1)}
+    else:
+        # a T solution ending in 1 is an S solution one shorter with 1
+        # appended; one ending in d >= 2 is an Id solution ending in d - 1
+        counts = {1: build.targets()["S"][n - 1]}
+        counts.update((d, build.row("V", d - 1).coeff(n)) for d in range(2, n + 2))
+    return {d: count for d, count in counts.items() if count}
 
 
 # Sizes 1 and 2 solved by hand from the fixed entries of the products:
@@ -210,7 +198,7 @@ _SMALL_SIZE_COUNTS = {
 }
 
 _FAMILY_OF_TARGET = {
-    "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x", "STST": "y",
+    "S": "S", "T": "T", "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x", "STST": "y",
 }
 
 
@@ -223,13 +211,10 @@ def count_solutions(target_name, size):
     if size <= 2:
         return _SMALL_SIZE_COUNTS[target_name][size - 1]
     n = size - 2
+    build = _build(n + 1)
     if target_name == "Id":
-        return _build(n).q.coeff(n)
-    if target_name == "S":
-        return count_S(n)
-    if target_name == "T":
-        return count_T(n)
-    return count_family(_FAMILY_OF_TARGET[target_name], n)
+        return build.q.coeff(n)
+    return build.targets()[_FAMILY_OF_TARGET[target_name]][n]
 
 
 @dataclass
@@ -239,7 +224,6 @@ class CountTable:
     family: str
     entries: dict
     provenance: str
-    notes: dict = field(default_factory=dict)
 
     def to_csv(self):
         out = io.StringIO()
@@ -314,11 +298,7 @@ def census_table(family, n_max, k=None, l=None, order=None):
 
     if family in ("U", "V", "W"):
         label, ts = series_row(family, order, k, l)
-        return CountTable(label, {n: ts.coeff(n) for n in range(n_max + 1)}, "series")
-    if family == "S":
-        entries = {n: count_S(n) for n in range(n_max + 1)}
-    elif family == "T":
-        entries = {n: count_T(n) for n in range(n_max + 1)}
+        row = ts.coeffs
     else:
-        entries = {n: count_family(family, n) for n in range(1, n_max + 1)}
-    return CountTable(family=family, entries=entries, provenance="series")
+        label, row = family, _build(order).targets()[family]
+    return CountTable(label, {n: row[n] for n in range(start, n_max + 1)}, "series")

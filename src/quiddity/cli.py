@@ -35,10 +35,9 @@ def cmd_table(args):
 
 def cmd_series(args):
     """Print raw coefficients 0..order of one named series."""
-    order = 12 if args.order is None else args.order
-    if order < 0:
+    if args.order < 0:
         raise ValueError("--order must be nonnegative")
-    label, ts = census.series_row(args.family, order, args.k, args.l)
+    label, ts = census.series_row(args.family, args.order, args.k, args.l)
     table = census.CountTable(family=label, provenance="series",
                               entries=dict(enumerate(ts.coeffs)))
     _print_table(table, args.output_format)
@@ -85,8 +84,7 @@ def cmd_oracle(args):
 
 def cmd_verify(args):
     """Run every cross-check and report pass/fail per check."""
-    order = verify.IDENTITY_ORDER if args.order is None else args.order
-    report = verify.run_verify(max_size=args.max_size, order=order,
+    report = verify.run_verify(max_size=args.max_size, order=args.order,
                                workers=args.workers)
     if args.output_format == "json":
         payload = {
@@ -136,7 +134,7 @@ def build_parser():
 
     series_cmd = sub.add_parser("series", help="print raw series coefficients")
     series_cmd.add_argument("--family", required=True, choices=census.SERIES_FAMILIES)
-    series_cmd.add_argument("--order", type=int, default=None,
+    series_cmd.add_argument("--order", type=int, default=12,
                             help="truncation order (default 12)")
     series_cmd.add_argument("--k", type=int, help="row index for U, V, W")
     series_cmd.add_argument("--l", type=int, help="second row index for W")
@@ -158,7 +156,7 @@ def build_parser():
     verify_cmd = sub.add_parser("verify", help="run the full cross-check suite")
     verify_cmd.add_argument("--max-size", dest="max_size", type=int, default=12,
                             help="largest tuple size for the oracle checks")
-    verify_cmd.add_argument("--order", type=int, default=None,
+    verify_cmd.add_argument("--order", type=int, default=verify.IDENTITY_ORDER,
                             help="identity-suite truncation order (default 32)")
     verify_cmd.add_argument("--workers", type=int, default=1)
     add_format(verify_cmd)

@@ -14,8 +14,8 @@ for tuples of size n + 2):
     Ptilde_n  coefficients of the reciprocal series 1 / P(X);
     V1_n  identity-target solutions whose last component is 1;
     W11_n identity-target solutions whose first and last components are 1;
-    D_n / C_n  dissections of an (n+2)-gon into sub-polygons with vertex
-         counts divisible by 3 / plain triangulations (Catalan);
+    D_n  dissections of an (n+2)-gon into sub-polygons with vertex counts
+         divisible by 3;
     E_n, F_n  the two marked-dissection counts derived from D_n.
 """
 
@@ -161,13 +161,6 @@ def coeff_D(n):
     for k in range(n // 3 + 1):
         total += binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 3 * k, n - 3 * k)
     return _as_int(Fraction(total, n + 1), f"D_{n}")
-
-
-def coeff_catalan(n):
-    """n-th Catalan number: triangulation count of an (n+2)-gon."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    return _as_int(Fraction(comb(2 * n, n), n + 1), f"C_{n}")
 
 
 def coeff_E(n):

@@ -570,31 +570,10 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     )
 
 
-def count_by_last(target, size, last, bound=None, workers=1,
-                  max_table_entries=DEFAULT_MAX_TABLE_ENTRIES):
-    """Number of solutions whose last component equals `last`."""
-    query = OracleQuery(target=target, size=size, bound=bound,
-                        constraints={size: last}, workers=workers,
-                        max_table_entries=max_table_entries)
-    return solve(query).count
-
-
 def count_component_at(target, size, position, value, bound=None, workers=1,
                        max_table_entries=DEFAULT_MAX_TABLE_ENTRIES):
     """Number of solutions with the given component pinned at a position."""
     query = OracleQuery(target=target, size=size, bound=bound,
                         constraints={position: value}, workers=workers,
-                        max_table_entries=max_table_entries)
-    return solve(query).count
-
-
-def count_first_last(target, size, first, last, bound=None, workers=1,
-                     max_table_entries=DEFAULT_MAX_TABLE_ENTRIES):
-    """Number of solutions with both the first and last component pinned."""
-    if size == 1 and first != last:
-        return 0
-    constraints = {1: first, size: last}
-    query = OracleQuery(target=target, size=size, bound=bound,
-                        constraints=constraints, workers=workers,
                         max_table_entries=max_table_entries)
     return solve(query).count

@@ -39,22 +39,12 @@ class TruncSeries:
         raise AttributeError("TruncSeries is immutable")
 
     @classmethod
-    def from_coeffs(cls, values):
-        return cls(values)
-
-    @classmethod
     def one(cls, order):
         return cls((1,) + (0,) * order)
 
     @classmethod
     def zero(cls, order):
         return cls((0,) * (order + 1))
-
-    @classmethod
-    def x(cls, order):
-        if order < 1:
-            return cls((0,) * (order + 1))
-        return cls((0, 1) + (0,) * (order - 1))
 
     @property
     def coeffs(self):
@@ -138,9 +128,6 @@ class TruncSeries:
     def __mul__(self, other):
         return self.mul(other)
 
-    def __neg__(self):
-        return TruncSeries(tuple(-c for c in self._coeffs))
-
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
@@ -151,7 +138,3 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries({list(self._coeffs)!r})"
-
-    def to_decimal_strings(self):
-        """Coefficients as decimal strings (the JSON wire format)."""
-        return [str(c) for c in self._coeffs]

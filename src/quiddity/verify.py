@@ -35,11 +35,6 @@ class CheckResult:
     expected: object
     actual: object
 
-    def line(self):
-        if self.passed:
-            return f"PASS {self.name}"
-        return f"FAIL {self.name}: expected {self.expected!r}, actual {self.actual!r}"
-
 
 @dataclass
 class VerifyReport:
@@ -55,21 +50,14 @@ class VerifyReport:
         return all(result.passed for result in self.results)
 
     @property
-    def failures(self):
-        return [result for result in self.results if not result.passed]
-
-    @property
     def first_failure(self):
         for result in self.results:
             if not result.passed:
                 return result
         return None
 
-    def lines(self):
-        return [result.line() for result in self.results]
 
-
-def golden_checks(report=None, order=GOLDEN_ORDER):
+def golden_checks(report=None):
     """Compare formula and series routes against the frozen tables.
 
     The Q row leads: it anchors everything else, so a broken Q formula
@@ -84,22 +72,22 @@ def golden_checks(report=None, order=GOLDEN_ORDER):
     report.check("golden:Q:formula", q_row,
                  [formulas.coeff_Q(n) for n in range(width)])
     report.check("golden:Q:series", q_row,
-                 list(census.series_Q(order).coeffs[:width]))
+                 list(census.series_Q(GOLDEN_ORDER).coeffs[:width]))
 
     pt_row = rows["Ptilde"]["values"]
     report.check("golden:Ptilde:formula", pt_row,
                  [formulas.coeff_Ptilde(n) for n in range(width)])
     report.check("golden:Ptilde:series", pt_row,
-                 list(census.series_P_inverse(order).coeffs[:width]))
+                 list(census.series_P_inverse(GOLDEN_ORDER).coeffs[:width]))
 
     for label, k in (("U2", 2), ("U3", 3)):
         report.check(f"golden:{label}:series", rows[label]["values"],
-                     list(census.series_U(k, order).coeffs[:width]))
+                     list(census.series_U(k, GOLDEN_ORDER).coeffs[:width]))
 
     v_rows = golden["V_rows"]
     for key in sorted(v_rows, key=int):
         report.check(f"golden:V:row-{key}", v_rows[key],
-                     list(census.series_V(int(key), order).coeffs[:width]))
+                     list(census.series_V(int(key), GOLDEN_ORDER).coeffs[:width]))
     column_sums = [sum(v_rows[str(k)][n] for k in range(1, n + 1))
                    for n in range(1, width)]
     report.check("golden:V:column-sums", q_row[1:], column_sums)
@@ -128,25 +116,20 @@ def golden_checks(report=None, order=GOLDEN_ORDER):
     w_rows = golden["W1k_rows"]
     for key in sorted(w_rows, key=int):
         report.check(f"golden:W:row-{key}", w_rows[key],
-                     list(census.series_W(1, int(key), order).coeffs[:width]))
+                     list(census.series_W(1, int(key), GOLDEN_ORDER).coeffs[:width]))
     w_sums = [sum(w_rows[str(k)][n] for k in range(1, n + 1))
               for n in range(1, width)]
     report.check("golden:W:column-sums", v_rows["1"][1:], w_sums)
     for first, last, n, value in golden["W_spots"]:
         report.check(f"golden:W:spot-{first}-{last}-{n}", value,
-                     census.series_W(first, last, order).coeff(n))
+                     census.series_W(first, last, GOLDEN_ORDER).coeff(n))
 
     families = golden["family_rows"]
-    family_fns = {"S": census.count_S, "T": census.count_T}
     for tag in ("S", "T", "u", "v", "w", "x", "y"):
         row = families[tag]["values"]
-        fam_start = families[tag]["start"]
-        fam_span = range(fam_start, fam_start + len(row))
-        if tag in family_fns:
-            actual = [family_fns[tag](n) for n in fam_span]
-        else:
-            actual = [census.count_family(tag, n) for n in fam_span]
-        report.check(f"golden:family-{tag}:census", row, actual)
+        fam_span = range(families[tag]["start"], families[tag]["start"] + len(row))
+        entries = census.census_table(tag, fam_span[-1], order=GOLDEN_ORDER).entries
+        report.check(f"golden:family-{tag}:census", row, [entries[n] for n in fam_span])
 
     small = golden["small_size_counts"]
     actual = {name: [census.count_solutions(name, 1), census.count_solutions(name, 2)]
@@ -241,9 +224,8 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
         report.check(f"oracle:counts:size-{size}", expected, dict(sv.counts))
         n = size - 2
         if n >= 1:
-            exp_last = {k: v for k in range(1, n + 1)
-                        if (v := census.series_V(k, n).coeff(n))}
-            report.check(f"oracle:Id-by-last:size-{size}", exp_last, sv.by_last["Id"])
+            report.check(f"oracle:Id-by-last:size-{size}",
+                         census.by_last("Id", size), sv.by_last["Id"])
             exp_fl = {}
             for first in range(1, n + 1):
                 for last in range(1, n + 2 - first):
@@ -253,12 +235,10 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
             report.check(f"oracle:Id-first-last:size-{size}",
                          exp_fl, sv.by_first_last["Id"])
             if n >= 3:
-                exp_s = {d: v for d in range(1, n - 1)
-                         if (v := census.count_S_by_last(n, d))}
-                report.check(f"oracle:S-by-last:size-{size}", exp_s, sv.by_last["S"])
-            exp_t = {d: v for d in range(1, n + 2)
-                     if (v := census.count_T_by_last(n, d))}
-            report.check(f"oracle:T-by-last:size-{size}", exp_t, sv.by_last["T"])
+                report.check(f"oracle:S-by-last:size-{size}",
+                             census.by_last("S", size), sv.by_last["S"])
+            report.check(f"oracle:T-by-last:size-{size}",
+                         census.by_last("T", size), sv.by_last["T"])
         # identity-target components stay below size - 1, so the box never saturates
         report.check(f"oracle:Id-bound-untouched:size-{size}", 0,
                      sv.bound_touches["Id"])
@@ -303,12 +283,11 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
     return report
 
 
-def run_verify(max_size=ORACLE_MAX_SIZE, order=IDENTITY_ORDER, workers=1,
-               golden_order=GOLDEN_ORDER, with_oracle=True):
+def run_verify(max_size=ORACLE_MAX_SIZE, order=IDENTITY_ORDER, workers=1):
     """Run every check group in order; returns the combined report."""
     report = VerifyReport()
-    golden_checks(report, order=golden_order)
+    golden_checks(report)
     identity_checks(report, order=order)
-    if with_oracle and max_size >= 1:
+    if max_size >= 1:
         oracle_checks(report, max_size=max_size, workers=workers)
     return report

@@ -16,7 +16,7 @@ from quiddity.series import TruncSeries
 def test_criterion_1_golden_tables_reproduced_quickly():
     census.clear_caches()
     started = time.monotonic()
-    report = verify.golden_checks(order=16)
+    report = verify.golden_checks()
     elapsed = time.monotonic() - started
     assert report.passed, report.first_failure
     assert elapsed < 10.0, f"golden reproduction took {elapsed:.1f}s"

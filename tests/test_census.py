@@ -34,57 +34,86 @@ def test_series_k_validation():
         census.series_W(1, 0, 5)
 
 
+def _row(family, n_max):
+    return list(census.census_table(family, n_max).entries.values())
+
+
 def test_count_S_row():
-    assert [census.count_S(n) for n in range(7)] == [0, 0, 0, 1, 4, 14, 50]
+    assert _row("S", 6) == [0, 0, 0, 1, 4, 14, 50]
+    assert [census.count_solutions("S", n + 2) for n in range(1, 7)] == [0, 0, 1, 4, 14, 50]
     with pytest.raises(ValueError):
-        census.count_S(-1)
+        census.census_table("S", -1)
 
 
 def test_count_T_row():
-    assert [census.count_T(n) for n in range(7)] == [0, 1, 2, 5, 16, 53, 180]
+    assert _row("T", 6) == [0, 1, 2, 5, 16, 53, 180]
+    s, t = census.census_table("S", 9).entries, census.census_table("T", 9).entries
     for n in range(1, 9):
-        assert census.count_T(n) == census.count_S(n - 1) + census.series_Q(n).coeff(n)
+        assert t[n] == s[n - 1] + census.series_Q(n).coeff(n)
 
 
 def test_count_family_small_values():
-    assert [census.count_family("u", n) for n in range(1, 7)] == [0, 1, 3, 9, 30, 104]
-    assert census.count_family("v", 1) == 0
-    assert [census.count_family("x", n) for n in range(1, 5)] == [1, 2, 6, 19]
-    assert census.count_family("y", 1) == 0
+    assert _row("u", 6) == [0, 1, 3, 9, 30, 104]
+    assert census.census_table("v", 1).entries == {1: 0}
+    assert _row("x", 4) == [1, 2, 6, 19]
+    assert census.census_table("y", 1).entries == {1: 0}
+    s, v = census.census_table("S", 8).entries, census.census_table("v", 8).entries
     for n in range(2, 8):
-        assert census.count_family("v", n) == census.series_Q(n).coeff(
-            n - 1
-        ) + census.count_S(n)
+        assert v[n] == census.series_Q(n).coeff(n - 1) + s[n]
 
 
 def test_count_family_validation():
     with pytest.raises(ValueError):
-        census.count_family("z", 4)
+        census.census_table("z", 4)
     with pytest.raises(ValueError):
-        census.count_family("u", 0)
+        census.census_table("u", 0)
+
+
+def test_named_target_table_is_one_build():
+    for tag in ("S", "T", "u", "v", "w", "x", "y"):
+        census.clear_caches()
+        census.census_table(tag, 48)
+        assert census._build.cache_info().misses == 1, tag
 
 
 def test_count_S_by_last():
     with pytest.raises(ValueError):
-        census.count_S_by_last(2, 1)
-    for n in range(3, 9):
-        assert census.count_S_by_last(n, 0) == 0
-        assert census.count_S_by_last(n, n - 1) == 0
-        assert census.count_S_by_last(n, n - 2) == 1
-        total = sum(census.count_S_by_last(n, d) for d in range(1, n - 1))
-        assert total == census.count_S(n)
+        census.by_last("S", 2)
+    assert census.by_last("S", 4) == {}
+    for size in range(5, 11):
+        hist = census.by_last("S", size)
+        assert list(hist) == list(range(1, size - 3))
+        assert hist[size - 4] == 1
+        assert sum(hist.values()) == census.count_solutions("S", size)
 
 
 def test_count_T_by_last():
     with pytest.raises(ValueError):
-        census.count_T_by_last(0, 1)
-    for n in range(1, 9):
-        assert census.count_T_by_last(n, 0) == 0
-        assert census.count_T_by_last(n, n + 2) == 0
-        assert census.count_T_by_last(n, 1) == census.count_S(n - 1)
-        assert census.count_T_by_last(n, n + 1) == 1
-        total = sum(census.count_T_by_last(n, d) for d in range(1, n + 2))
-        assert total == census.count_T(n)
+        census.by_last("T", 2)
+    for size in range(3, 11):
+        hist = census.by_last("T", size)
+        assert hist.get(1, 0) == census.count_solutions("S", size - 1)
+        assert hist[size - 1] == 1
+        assert max(hist) == size - 1
+        assert sum(hist.values()) == census.count_solutions("T", size)
+
+
+def test_by_last_Id_is_the_V_column():
+    for size in range(3, 11):
+        n = size - 2
+        column = {k: census.series_V(k, n).coeff(n) for k in range(1, n + 1)}
+        assert census.by_last("Id", size) == column
+        assert sum(column.values()) == census.count_solutions("Id", size)
+
+
+def test_by_last_validation():
+    for name in ("T^-1", "TS", "ST", "TSTS", "STST", "X"):
+        with pytest.raises(ValueError):
+            census.by_last(name, 6)
+    for name in ("Id", "S", "T"):
+        for size in (-1, 0, 1, 2):
+            with pytest.raises(ValueError):
+                census.by_last(name, size)
 
 
 def test_count_solutions_dispatch():
@@ -184,10 +213,8 @@ def test_census_route_uses_no_closed_form(monkeypatch):
     assert census.series_U(2, 8).coeffs == (0, 0, 1, 2, 5, 16, 52, 174, 600)
     assert census.series_V(3, 8).coeffs == (0, 0, 0, 1, 3, 9, 31, 109, 388)
     assert census.series_W(2, 3, 8).coeffs == (0, 0, 0, 0, 1, 3, 9, 32, 114)
-    assert [census.count_S(n) for n in range(9)] == [
-        0, 0, 0, 1, 4, 14, 50, 182, 670]
-    assert [census.count_T(n) for n in range(9)] == [
-        0, 1, 2, 5, 16, 53, 180, 627, 2232]
+    assert _row("S", 8) == [0, 0, 0, 1, 4, 14, 50, 182, 670]
+    assert _row("T", 8) == [0, 1, 2, 5, 16, 53, 180, 627, 2232]
     families = {
         "u": [0, 1, 3, 9, 30, 104, 368, 1324],
         "v": [0, 1, 3, 9, 29, 99, 348, 1247],
@@ -196,7 +223,13 @@ def test_census_route_uses_no_closed_form(monkeypatch):
         "y": [0, 0, 0, 1, 5, 20, 78, 302],
     }
     for tag, row in families.items():
-        assert [census.count_family(tag, n) for n in range(1, 9)] == row, tag
+        assert _row(tag, 8) == row, tag
+    # the same histograms as the exhaustive survey(10)
+    assert census.by_last("Id", 10) == {1: 726, 2: 627, 3: 388, 4: 194, 5: 80, 6: 27,
+                                        7: 7, 8: 1}
+    assert census.by_last("S", 10) == {1: 368, 2: 188, 3: 79, 4: 27, 5: 7, 6: 1}
+    assert census.by_last("T", 10) == {1: 182, 2: 726, 3: 627, 4: 388, 5: 194, 6: 80,
+                                       7: 27, 8: 7, 9: 1}
     by_size = {
         "Id": [0, 0, 1, 2, 5, 15, 49, 166, 577, 2050],
         "S": [0, 0, 0, 0, 1, 4, 14, 50, 182, 670],

@@ -57,9 +57,8 @@ def test_coeff_powP_small_exponents():
     assert [formulas.coeff_powP(2, n) for n in range(7)] == square
 
 
-def test_coeff_D_and_catalan():
+def test_coeff_D_row():
     assert [formulas.coeff_D(n) for n in range(1, 8)] == [1, 2, 5, 15, 49, 168, 595]
-    assert [formulas.coeff_catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
 
 
 def test_coeff_E_convolution_seed():
@@ -79,7 +78,7 @@ def test_coeff_F_is_scaled_D():
 
 def test_index_guards():
     for fn in (formulas.coeff_P, formulas.coeff_Q, formulas.coeff_Ptilde,
-               formulas.coeff_W11, formulas.coeff_D, formulas.coeff_catalan):
+               formulas.coeff_W11, formulas.coeff_D):
         with pytest.raises(ValueError):
             fn(-1)
     with pytest.raises(ValueError):

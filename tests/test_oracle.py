@@ -79,11 +79,15 @@ def test_histograms_match_listing():
     assert counted.count == len(res.solutions)
 
 
+def _pinned_count(target, size, constraints):
+    return solve(OracleQuery(target=target, size=size, constraints=constraints)).count
+
+
 def test_by_last_matches_series():
     n = 4
     for k in range(1, n + 1):
         expected = census.series_V(k, n).coeff(n)
-        assert oracle.count_by_last("Id", n + 2, k) == expected
+        assert _pinned_count("Id", n + 2, {n + 2: k}) == expected
 
 
 def test_first_last_matches_series():
@@ -91,9 +95,9 @@ def test_first_last_matches_series():
     for first in range(1, n + 1):
         for last in range(1, n + 2 - first):
             expected = census.series_W(first, last, n).coeff(n)
-            assert oracle.count_first_last("Id", n + 2, first, last) == expected
-    assert oracle.count_first_last("Id", 1, 1, 2) == 0
-    assert oracle.count_first_last("TS", 1, 1, 1) == 1
+            assert _pinned_count("Id", n + 2, {1: first, n + 2: last}) == expected
+    assert _pinned_count("TS", 1, {1: 1}) == 1
+    assert _pinned_count("TS", 1, {1: 2}) == 0
 
 
 def test_constraints_filter_like_listing():
@@ -346,7 +350,7 @@ def test_pinned_ends_are_folded(monkeypatch):
     assert (yielded[0], sum(yielded[1:])) == (10 ** 4, 10 ** 4)
     # table over a_3..a_5, sweep over a_6..a_9 (unfolded: 10^4 and 10^4)
     yielded.clear()
-    assert oracle.count_first_last("Id", 10, 2, 3) == census.series_W(2, 3, 8).coeff(8)
+    assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
     assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
     # folding a_5 would move the split past the pinned a_2 and turn two
     # sides of 5 tuples into a sweep of 25, over this budget

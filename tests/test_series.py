@@ -37,8 +37,6 @@ def test_immutability_and_equality():
 def test_constructors():
     assert TruncSeries.one(3).coeffs == (1, 0, 0, 0)
     assert TruncSeries.zero(2).coeffs == (0, 0, 0)
-    assert TruncSeries.x(3).coeffs == (0, 1, 0, 0)
-    assert TruncSeries.from_coeffs([5, 6]).coeffs == (5, 6)
 
 
 def test_add_sub_mul():
@@ -47,7 +45,6 @@ def test_add_sub_mul():
     assert (a + b).coeffs == (5, 2, 2)
     assert (a - b).coeffs == (-3, 2, 4)
     assert (a * b).coeffs == (4, 8, 11)
-    assert (-a).coeffs == (-1, -2, -3)
 
 
 def test_mul_is_truncated_cauchy_product():
@@ -105,10 +102,6 @@ def test_inverse_roundtrip_random():
         ts = TruncSeries(coeffs)
         assert ts * ts.inverse() == TruncSeries.one(16)
         assert ts.inverse().inverse() == ts
-
-
-def test_to_decimal_strings():
-    assert TruncSeries([1, -20]).to_decimal_strings() == ["1", "-20"]
 
 
 def test_repr_roundtrip():

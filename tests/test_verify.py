@@ -15,10 +15,10 @@ def test_report_mechanics():
     report.check("b", 1, 2)
     report.check("c", "x", "x")
     assert not report.passed
-    assert [r.name for r in report.failures] == ["b"]
+    assert [(r.name, r.passed) for r in report.results] == [
+        ("a", True), ("b", False), ("c", True)]
     assert report.first_failure.name == "b"
-    assert report.lines()[0] == "PASS a"
-    assert report.lines()[1] == "FAIL b: expected 1, actual 2"
+    assert (report.first_failure.expected, report.first_failure.actual) == (1, 2)
     assert verify.VerifyReport().passed
     assert verify.VerifyReport().first_failure is None
 
