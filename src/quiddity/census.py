@@ -278,7 +278,7 @@ def check_row_indices(family, k, l):
         raise ValueError("l must be at least 1")
 
 
-def census_table(family, n_max, k=None, l=None, order=None):
+def census_table(family, n_max, k=None, l=None):
     """Build the CountTable of one family for all defined indices <= n_max."""
     if family not in _FAMILY_START:
         raise ValueError(f"unknown family {family!r}")
@@ -286,10 +286,6 @@ def census_table(family, n_max, k=None, l=None, order=None):
     start = _FAMILY_START[family]
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")
-    if order is None:
-        order = n_max + 1
-    if order < n_max + 1:
-        raise ValueError("truncation order must be at least n_max + 1")
 
     if family in _FORMULA_FAMILIES:
         fn = _FORMULA_FAMILIES[family]
@@ -297,8 +293,8 @@ def census_table(family, n_max, k=None, l=None, order=None):
         return CountTable(family=family, entries=entries, provenance="formula")
 
     if family in ("U", "V", "W"):
-        label, ts = series_row(family, order, k, l)
+        label, ts = series_row(family, n_max + 1, k, l)
         row = ts.coeffs
     else:
-        label, row = family, _build(order).targets()[family]
+        label, row = family, _build(n_max + 1).targets()[family]
     return CountTable(label, {n: row[n] for n in range(start, n_max + 1)}, "series")

@@ -27,8 +27,7 @@ def _print_table(table, output_format):
 
 def cmd_table(args):
     """Print one family of counts up to --n-max."""
-    table = census.census_table(args.family, args.n_max,
-                                k=args.k, l=args.l, order=args.order)
+    table = census.census_table(args.family, args.n_max, k=args.k, l=args.l)
     _print_table(table, args.output_format)
     return EXIT_OK
 
@@ -128,8 +127,6 @@ def build_parser():
                        help="largest index n to print")
     table.add_argument("--k", type=int, help="row index for U, V, W")
     table.add_argument("--l", type=int, help="second row index for W")
-    table.add_argument("--order", type=int,
-                       help="series truncation order (default n-max + 1)")
     add_format(table)
 
     series_cmd = sub.add_parser("series", help="print raw series coefficients")

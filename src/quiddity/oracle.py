@@ -20,15 +20,20 @@ because Z*e1, a column of a determinant-1 matrix, is primitive).
 The table holds every middle product with its sign normalized so that
 the first column is canonical (first nonzero entry positive), keyed by
 that column.  Each suffix then costs one probe per target, and each
-hit solves a_1 in closed form, so the count, the bound touches, both
-histograms and, when asked for, the tuples themselves come out of the
-same join.  The first component is never enumerated.
+hit solves a_1 in closed form.  The first component is never
+enumerated.
+
+Every route records what it finds in one tally per target,
+{(first, last, touched): solutions}, where touched says whether a
+component reaches the bound, next to the tuples themselves when a
+listing was asked for.  _summary derives the count, the bound touches
+and both histograms from the tally, so no route computes them itself.
 
 An end component pinned to v is folded into the targets before the
 split, since m_n(v, a_2..a_m) = m_n(a_2..a_m) * elem(v) and
 m_n(a_1..a_(m-1), v) = elem(v) * m_n(a_1..a_(m-1)).  The join then
 solves a problem one shorter, so the closed form and the additive step
-act on free digits; its pairs, listings and bound touches get v back.
+act on free digits; its tally keys and listings get v back.
 _end_to_fold says when an end is folded.
 
 Both the middle table and the suffix sweep walk their boxes with one
@@ -36,8 +41,8 @@ odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
 its innermost digit is a single row addition on the running product.
 
 The direct route, the reference the join is checked against, shares
-no code with the join: it enumerates every tuple of the box once and
-looks each product up among all targets and their negations.
+no search code with the join: it enumerates every tuple of the box once
+and looks each product up among all targets and their negations.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
@@ -47,6 +52,7 @@ the usual saturation sanity signal.
 """
 
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 
 from .matrices import Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
@@ -191,20 +197,16 @@ def _check_budget(projected, budget, label):
 
 
 def _normalize_target(spec):
+    """(matrix, name) of a target; name is None outside the eight named targets."""
     if isinstance(spec, Mat2):
         mat = check_target(spec)
     elif isinstance(spec, str):
         mat = parse_target(spec)
     else:
         raise ValueError(f"target must be a Mat2 or a string, got {spec!r}")
-    name = None
-    if isinstance(spec, str) and spec.strip() in TARGETS:
-        name = spec.strip()
-    else:
-        for key, value in TARGETS.items():
-            if value == mat:
-                name = key
-                break
+    # the eight named matrices are distinct, so a name, a word or a literal
+    # for one of them all find it here
+    name = next((key for key, value in TARGETS.items() if value == mat), None)
     return mat, name
 
 
@@ -231,15 +233,20 @@ def _box(size, bound, fixed):
     return lows, highs
 
 
-def _histograms(by_first_last):
-    """(by_last, by_first_last) with sorted keys, so no traversal order leaks out.
+def _summary(tally):
+    """(count, bound_touches, by_last, by_first_last) of one target's tally.
 
-    by_last is the marginal of by_first_last over the first component.
+    The histograms get sorted keys, so no traversal order leaks out.
     """
+    count = touches = 0
     by_last = {}
-    for (_, last), count in by_first_last.items():
-        by_last[last] = by_last.get(last, 0) + count
-    return dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
+    by_first_last = {}
+    for (first, last, touched), solutions in tally.items():
+        count += solutions
+        touches += solutions if touched else 0
+        by_last[last] = by_last.get(last, 0) + solutions
+        by_first_last[first, last] = by_first_last.get((first, last), 0) + solutions
+    return count, touches, dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
 def _build_table(lows, highs):
@@ -260,14 +267,12 @@ def _build_table(lows, highs):
 def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list):
     """Sweep the suffix box against the middle table, solving a_1 per hit.
 
-    Returns per-target lists: counts, bound touches, by_first_last
-    (unsorted), and the solution tuples (or None).
+    Returns (tallies, listings): per target, the tally
+    {(first, last, touched): solutions} and the solution tuples, or
+    listings None.
     """
-    n_targets = len(target_rows)
-    counts = [0] * n_targets
-    touches = [0] * n_targets
-    by_first_last = [{} for _ in range(n_targets)]
-    solutions = [[] for _ in range(n_targets)] if want_list else None
+    tallies = [Counter() for _ in target_rows]
+    listings = [[] for _ in target_rows] if want_list else None
     tget = table.get
     indexed_rows = list(enumerate(target_rows))
     for digits, (p, q, r, s) in _iter_products(slows, shighs):
@@ -291,15 +296,12 @@ def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_lis
                 first = (r1 - z2) // z1
                 if first < first_lo or first > first_hi:
                     continue
-                counts[ti] += 1
-                touches[ti] += (max(digits) >= bound or first >= bound
-                                or max(mid, default=0) >= bound)
-                pair = (first, digits[-1])
-                fl = by_first_last[ti]
-                fl[pair] = fl.get(pair, 0) + 1
-                if solutions is not None:
-                    solutions[ti].append((first,) + mid + tuple(digits))
-    return counts, touches, by_first_last, solutions
+                touched = (max(digits) >= bound or first >= bound
+                           or max(mid, default=0) >= bound)
+                tallies[ti][first, digits[-1], touched] += 1
+                if listings is not None:
+                    listings[ti].append((first,) + mid + tuple(digits))
+    return tallies, listings
 
 
 _WORKER_CTX = None
@@ -336,24 +338,19 @@ def _run_partitioned(lo, hi, workers, ctx):
         _WORKER_CTX = None
 
 
-def _merge_joins(parts, n_targets):
-    counts = [0] * n_targets
-    touches = [0] * n_targets
-    by_first_last = [{} for _ in range(n_targets)]
-    solutions = [[] for _ in range(n_targets)] if parts[0][3] is not None else None
-    for part_counts, part_touches, part_fl, part_solutions in parts:
-        for ti in range(n_targets):
-            counts[ti] += part_counts[ti]
-            touches[ti] += part_touches[ti]
-            merged = by_first_last[ti]
-            for key, value in part_fl[ti].items():
-                merged[key] = merged.get(key, 0) + value
-            if solutions is not None:
-                solutions[ti].extend(part_solutions[ti])
-    if solutions is not None:
-        for listed in solutions:
+def _merge_joins(parts):
+    """Sum the partitions' tallies and concatenate their listings, sorted."""
+    tallies, listings = parts[0]
+    for part_tallies, part_listings in parts[1:]:
+        for tally, part in zip(tallies, part_tallies):
+            tally.update(part)
+        if listings is not None:
+            for listed, part in zip(listings, part_listings):
+                listed.extend(part)
+    if listings is not None:
+        for listed in listings:
             listed.sort()
-    return counts, touches, by_first_last, solutions
+    return tallies, listings
 
 
 def _side_sizes(size, bound, fixed):
@@ -383,13 +380,13 @@ def _end_to_fold(size, bound, fixed):
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
-    """Count (and optionally list) solutions for a batch of targets: one table, one join.
+    """Tally (and optionally list) solutions for a batch of targets: one table, one join.
 
     An end pinned to v is first folded into the targets, which leaves a
     problem of size - 1.  With elem(v)^-1 = [[0, 1], [-1, v]], a pinned
     first component needs m_(n-1)(a_2..a_n) = +/-target * elem(v)^-1 and
     a pinned last one m_(n-1)(a_1..a_(n-1)) = +/-elem(v)^-1 * target.
-    Counts carry over; pairs, listings and bound touches gain v back.
+    Tally keys and listings gain v back at that end.
     """
     fold = _end_to_fold(size, bound, fixed)
     if fold is not None:
@@ -399,21 +396,19 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
             rows = [(-b, a + v * b, -d, c + v * d) for a, b, c, d in target_rows]
         else:
             rows = [(c, d, v * c - a, v * d - b) for a, b, c, d in target_rows]
-        counts, touches, by_first_last, solutions = _solve_mitm(
+        inner_tallies, listings = _solve_mitm(
             rows, size - 1, bound, inner, workers, budget, want_list)
-        if v >= bound:
-            touches = list(counts)
-        folded = []
-        for pairs in by_first_last:
-            merged = {}
-            for (first, last), count in pairs.items():
+        tallies = []
+        for inner_tally in inner_tallies:
+            tally = Counter()
+            for (first, last, touched), solutions in inner_tally.items():
                 key = (v, last) if at_first else (first, v)
-                merged[key] = merged.get(key, 0) + count
-            folded.append(merged)
-        if solutions is not None:
-            solutions = [[(v,) + t for t in listed] if at_first else [t + (v,) for t in listed]
-                         for listed in solutions]
-        return counts, touches, folded, solutions
+                tally[key + (touched or v >= bound,)] += solutions
+            tallies.append(tally)
+        if listings is not None:
+            listings = [[(v,) + t for t in listed] if at_first else [t + (v,) for t in listed]
+                        for listed in listings]
+        return tallies, listings
     middle, suffix = _side_sizes(size, bound, fixed)
     _check_budget(middle, budget, "the middle table")
     _check_budget(suffix, budget, "the suffix sweep")
@@ -422,8 +417,7 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     table = _build_table(lows[1:h], highs[1:h])
     ctx = (table, target_rows, tuple(lows[h:]), tuple(highs[h:]), bound,
            lows[0], highs[0], want_list)
-    parts = _run_partitioned(lows[h], highs[h], workers, ctx)
-    return _merge_joins(parts, len(target_rows))
+    return _merge_joins(_run_partitioned(lows[h], highs[h], workers, ctx))
 
 
 def _solve_direct(target_rows, lows, highs, bound, want_list):
@@ -432,74 +426,67 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     One walk over every tuple of the box serves all targets: each
     product is looked up in a dict from the target entry rows and their
     negations to target indices, so targets equal up to sign are all
-    credited.  Returns the same per-target lists as _merge_joins, with
-    the solutions in ascending order.
+    credited.  Returns (tallies, listings) like _merge_joins, with the
+    solutions in ascending order.
     """
-    n_targets = len(target_rows)
     hits = {}
     for ti, entries in enumerate(target_rows):
         for key in {entries, tuple(-e for e in entries)}:
             hits.setdefault(key, []).append(ti)
-    counts = [0] * n_targets
-    touches = [0] * n_targets
-    by_first_last = [{} for _ in range(n_targets)]
-    solutions = [[] for _ in range(n_targets)] if want_list else None
+    tallies = [Counter() for _ in target_rows]
+    listings = [[] for _ in target_rows] if want_list else None
     hget = hits.get
     for digits, mat in _iter_products(lows, highs):
         matched = hget(mat)
         if matched is None:
             continue
-        touched = max(digits) >= bound
-        pair = (digits[0], digits[-1])
+        key = (digits[0], digits[-1], max(digits) >= bound)
         for ti in matched:
-            counts[ti] += 1
-            touches[ti] += touched
-            fl = by_first_last[ti]
-            fl[pair] = fl.get(pair, 0) + 1
-            if solutions is not None:
-                solutions[ti].append(tuple(digits))
-    return counts, touches, by_first_last, solutions
+            tallies[ti][key] += 1
+            if listings is not None:
+                listings[ti].append(tuple(digits))
+    return tallies, listings
 
 
-def _resolve_method(method, size):
-    """The route a method name selects at this size: "direct" or "mitm"."""
+def _check_run(size, bound, method):
+    """(bound, route) for a solve or survey; route is "direct" or "mitm".
+
+    Raises ValueError for a size or bound that is not a positive
+    integer, an unknown method, or a route the size cannot take.
+    """
+    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+        raise ValueError(f"size must be a positive integer, got {size!r}")
+    bound = size if bound is None else bound
+    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
+        raise ValueError(f"bound must be a positive integer, got {bound!r}")
     if method not in ("auto", "direct", "mitm"):
         raise ValueError(f"method must be auto, direct or mitm, got {method!r}")
     if method == "auto":
         method = "direct" if size <= 3 else "mitm"
     if method == "mitm" and size < 2:
         raise ValueError("the meet-in-the-middle route needs size >= 2")
-    return method
+    return bound, method
 
 
 def _solve_batch(method, target_rows, size, bound, fixed, workers, budget, want_list):
-    """Counts, touches, histograms and listings per target, by the given route."""
+    """(tallies, listings) per target, by the given route."""
     if method == "direct":
         lows, highs = _box(size, bound, fixed)
         _check_budget(_projected(lows, highs), budget, "direct enumeration")
-        counts, touches, by_first_last, solutions = _solve_direct(
-            target_rows, lows, highs, bound, want_list)
-    else:
-        counts, touches, by_first_last, solutions = _solve_mitm(
-            target_rows, size, bound, fixed, workers, budget, want_list)
-    return counts, touches, [_histograms(pairs) for pairs in by_first_last], solutions
+        return _solve_direct(target_rows, lows, highs, bound, want_list)
+    return _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list)
 
 
 def solve(query):
     """Solve one OracleQuery exhaustively; returns a SolutionSet."""
     mat, name = _normalize_target(query.target)
     size = query.size
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
-    bound = size if query.bound is None else query.bound
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    bound, method = _check_run(size, query.bound, query.method)
     fixed = _normalize_constraints(query.constraints, size)
-    method = _resolve_method(query.method, size)
-    counts, touches, histograms, listings = _solve_batch(
+    tallies, listings = _solve_batch(
         method, [mat.entries()], size, bound, fixed, query.workers,
         query.max_table_entries, query.list_solutions)
-    by_last, by_first_last = histograms[0]
+    count, touches, by_last, by_first_last = _summary(tallies[0])
     listed = listings[0] if listings is not None else None
     if method == "mitm":
         for digits in listed or ():
@@ -511,8 +498,8 @@ def solve(query):
         target_name=name,
         size=size,
         bound=bound,
-        count=counts[0],
-        bound_touches=touches[0],
+        count=count,
+        bound_touches=touches,
         by_last=by_last,
         by_first_last=by_first_last,
         method=method,
@@ -546,23 +533,18 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
         named.append(name is not None)
     if len(set(labels)) != len(labels):
         raise ValueError("survey targets must be distinct")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
-    bound = size if bound is None else bound
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
-
-    method = _resolve_method(method, size)
-    counts, touches, histograms, _ = _solve_batch(
+    bound, method = _check_run(size, bound, method)
+    tallies, _ = _solve_batch(
         method, entry_rows, size, bound, {}, workers, max_table_entries, False)
+    counts, touches, by_last, by_first_last = zip(*map(_summary, tallies))
 
     return SurveyResult(
         size=size,
         bound=bound,
         counts=dict(zip(labels, counts)),
         bound_touches=dict(zip(labels, touches)),
-        by_last={label: hists[0] for label, hists in zip(labels, histograms)},
-        by_first_last={label: hists[1] for label, hists in zip(labels, histograms)},
+        by_last=dict(zip(labels, by_last)),
+        by_first_last=dict(zip(labels, by_first_last)),
         exhaustive_within_bound={
             label: is_named and bound >= size
             for label, is_named in zip(labels, named)

@@ -128,7 +128,7 @@ def golden_checks(report=None):
     for tag in ("S", "T", "u", "v", "w", "x", "y"):
         row = families[tag]["values"]
         fam_span = range(families[tag]["start"], families[tag]["start"] + len(row))
-        entries = census.census_table(tag, fam_span[-1], order=GOLDEN_ORDER).entries
+        entries = census.census_table(tag, fam_span[-1]).entries
         report.check(f"golden:family-{tag}:census", row, [entries[n] for n in fam_span])
 
     small = golden["small_size_counts"]
@@ -244,31 +244,25 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
                      sv.bound_touches["Id"])
 
     for size in range(4, min(7, max_size) + 1):
-        # the named targets and one outside them share one direct walk of
-        # the full box; a lowered bound and a first component pinned above
-        # the bound are solved directly on their own
+        # per route: the named targets and one outside them in one survey,
+        # then a lowered bound and a first component pinned above the bound
         full_box = names + ["[[2,3],[1,2]]"]
-        sv = oracle.survey(size, targets=full_box, method="direct")
-        direct = {label: (sv.counts[key], sv.bound_touches[key],
-                          sv.by_last[key], sv.by_first_last[key])
-                  for label, key in zip(full_box, sv.counts)}
-        cases = {name: {"target": name} for name in names}
-        cases["Id:bound-2"] = {"target": "Id", "bound": 2}
-        cases[f"TSTS:first-{size - 1}:bound-2"] = {
-            "target": "TSTS", "bound": 2, "constraints": {1: size - 1}}
-        cases["[[2,3],[1,2]]"] = {"target": "[[2,3],[1,2]]"}
-        expected = {}
-        actual = {}
-        for label, spec in cases.items():
-            if label not in direct:
-                single = oracle.solve(oracle.OracleQuery(size=size, method="direct", **spec))
-                direct[label] = (single.count, single.bound_touches,
-                                 single.by_last, single.by_first_last)
-            mitm = oracle.solve(oracle.OracleQuery(size=size, method="mitm", **spec))
-            expected[label] = direct[label]
-            actual[label] = (mitm.count, mitm.bound_touches,
-                             mitm.by_last, mitm.by_first_last)
-        report.check(f"oracle:direct-vs-mitm:size-{size}", expected, actual)
+        singles = {"Id:bound-2": {"target": "Id", "bound": 2},
+                   f"TSTS:first-{size - 1}:bound-2": {
+                       "target": "TSTS", "bound": 2, "constraints": {1: size - 1}}}
+        labels = names + list(singles) + full_box[-1:]
+        by_route = []
+        for method in ("direct", "mitm"):
+            sv = oracle.survey(size, targets=full_box, method=method)
+            rows = {label: (sv.counts[key], sv.bound_touches[key],
+                            sv.by_last[key], sv.by_first_last[key])
+                    for label, key in zip(full_box, sv.counts)}
+            for label, spec in singles.items():
+                single = oracle.solve(oracle.OracleQuery(size=size, method=method, **spec))
+                rows[label] = (single.count, single.bound_touches,
+                               single.by_last, single.by_first_last)
+            by_route.append({label: rows[label] for label in labels})
+        report.check(f"oracle:direct-vs-mitm:size-{size}", *by_route)
 
     golden = load_golden()
     for name, by_size in golden["small_solutions"].items():

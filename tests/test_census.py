@@ -172,8 +172,6 @@ def test_census_table_validation():
         census.census_table("V", 5, k=0)
     with pytest.raises(ValueError):
         census.census_table("E", 2)
-    with pytest.raises(ValueError):
-        census.census_table("Q", 5, order=5)
 
 
 def test_count_table_csv():

@@ -121,8 +121,6 @@ def test_value_errors_exit_2(capsys):
     assert err.startswith("error:")
     assert run_cli(capsys, "oracle", "--target", "Id", "--size", "0")[0] == 2
     assert run_cli(capsys, "table", "--family", "V", "--n-max", "5")[0] == 2
-    assert run_cli(capsys, "table", "--family", "Q", "--n-max", "5",
-                   "--order", "5")[0] == 2
     assert run_cli(capsys, "verify", "--workers", "0")[0] == 2
 
 

@@ -217,6 +217,13 @@ def test_survey_rejects_bad_batches():
         survey(5, targets=["Id", "Id"])
     with pytest.raises(ValueError):
         survey(0)
+    # solve and survey share their size and bound checks, messages included
+    for size, bound in ((5, 0), (5, True), (True, None)):
+        with pytest.raises(ValueError) as by_solve:
+            solve(OracleQuery(target="Id", size=size, bound=bound))
+        with pytest.raises(ValueError) as by_survey:
+            survey(size, bound=bound)
+        assert str(by_survey.value) == str(by_solve.value), (size, bound)
 
 
 def test_survey_matches_individual_solves():
