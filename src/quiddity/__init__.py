@@ -10,7 +10,7 @@ The `verify` module cross-checks all routes against frozen reference
 tables; the `cli` module exposes the whole thing as a command line tool.
 """
 
-from .matrices import Mat2, elem, m_n, word_to_matrix, equal_up_to_sign, inverse, parse_target, TARGETS
+from .matrices import Mat2, elem, m_n, word_to_matrix, equal_up_to_sign, parse_target, TARGETS
 from .series import TruncSeries
 from .census import CountTable, census_table, count_solutions
 from .oracle import OracleQuery, SolutionSet, solve, survey
@@ -18,7 +18,7 @@ from .oracle import OracleQuery, SolutionSet, solve, survey
 __version__ = "0.1.0"
 
 __all__ = [
-    "Mat2", "elem", "m_n", "word_to_matrix", "equal_up_to_sign", "inverse",
+    "Mat2", "elem", "m_n", "word_to_matrix", "equal_up_to_sign",
     "parse_target", "TARGETS", "TruncSeries", "CountTable", "census_table",
     "count_solutions", "OracleQuery", "SolutionSet", "solve", "survey",
     "__version__",

@@ -112,11 +112,6 @@ def m_n(components):
     return Mat2(p, q, r, s)
 
 
-def inverse(mat):
-    """Inverse of a determinant-1 matrix: [[d,-b],[-c,a]]."""
-    return mat.inverse()
-
-
 def equal_up_to_sign(lhs, rhs):
     """True iff lhs == rhs or lhs == -rhs."""
     la, lb, lc, ld = lhs.entries()

@@ -5,9 +5,8 @@ pipeline: it multiplies elementary matrices out over candidate tuples
 and counts what actually hits the target, so agreement with the census
 numbers is a genuine two-route check.
 
-The workhorse is one meet-in-the-middle join.  With h = (m+1)//2 a
-tuple splits into its first component, the middle a_2..a_h and the
-suffix a_(h+1)..a_m, and
+The workhorse is one meet-in-the-middle join.  A tuple splits into its
+first component, the middle a_2..a_h and the suffix a_(h+1)..a_m, and
 
     m_n(tuple) = Suf * Z * elem(a_1),   Z = m_n(middle), Suf = m_n(suffix).
 
@@ -29,12 +28,11 @@ component reaches the bound, next to the tuples themselves when a
 listing was asked for.  _summary derives the count, the bound touches
 and both histograms from the tally, so no route computes them itself.
 
-An end component pinned to v is folded into the targets before the
-split, since m_n(v, a_2..a_m) = m_n(a_2..a_m) * elem(v) and
-m_n(a_1..a_(m-1), v) = elem(v) * m_n(a_1..a_(m-1)).  The join then
-solves a problem one shorter, so the closed form and the additive step
-act on free digits; its tally keys and listings get v back.
-_end_to_fold says when an end is folded.
+_plan lays out each search.  Pinned components come off both ends as
+a head and a tail, folded into the targets with one matrix product,
+since m_n(head + rest + tail) = m_n(tail) * m_n(rest) * m_n(head); the
+tally keys and listings get them back afterwards.  The split h of the
+rest is then chosen where table and sweep balance.
 
 Both the middle table and the suffix sweep walk their boxes with one
 odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
@@ -55,7 +53,7 @@ import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
 
-from .matrices import Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
+from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
 
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
 
@@ -353,71 +351,58 @@ def _merge_joins(parts):
     return tallies, listings
 
 
-def _side_sizes(size, bound, fixed):
-    """Tuples in the middle table (a_2..a_h) and the suffix sweep (a_(h+1)..a_m)."""
-    lows, highs = _box(size, bound, fixed)
-    h = (size + 1) // 2
-    return _projected(lows[1:h], highs[1:h]), _projected(lows[h:], highs[h:])
+def _plan(size, bound, fixed):
+    """(head, tail, lows, highs, h): the pinned ends peeled off, the rest split.
 
-
-def _end_to_fold(size, bound, fixed):
-    """(at_first, constraints left) for the pinned end to fold, or None.
-
-    An end is folded only while size > 2 and only if the larger of the
-    middle table and the suffix sweep does not grow: moving the split can
-    shift interior pins across it (size 5 with a_2 and a_5 pinned would go
-    from two sides of bound tuples to a sweep of bound^2).
+    Pinned components come off both ends while more than two remain;
+    head and tail hold their values, lows and highs the box left.  The
+    box keeps its first component for the closed form, a middle table
+    over lows[1:h] and a suffix sweep over lows[h:].  h makes the larger
+    of the two as small as possible, then the table, so peeling never
+    enlarges the larger side, and a free box splits in the middle.
     """
-    if size <= 2:
-        return None
-    largest = max(_side_sizes(size, bound, fixed))
-    for pos in (1, size):
-        if pos in fixed:
-            inner = {p - (pos == 1): value for p, value in fixed.items() if p != pos}
-            if max(_side_sizes(size - 1, bound, inner)) <= largest:
-                return pos == 1, inner
-    return None
+    start, stop = 1, size
+    while stop - start > 1 and start in fixed:
+        start += 1
+    while stop - start > 1 and stop in fixed:
+        stop -= 1
+    lows, highs = _box(size, bound, fixed)
+    head, tail = tuple(lows[:start - 1]), tuple(lows[stop:])
+    lows, highs = lows[start - 1:stop], highs[start - 1:stop]
+
+    def sides(h):
+        table = _projected(lows[1:h], highs[1:h])
+        return max(table, _projected(lows[h:], highs[h:])), table
+
+    return head, tail, lows, highs, min(range(1, len(lows)), key=sides)
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     """Tally (and optionally list) solutions for a batch of targets: one table, one join.
 
-    An end pinned to v is first folded into the targets, which leaves a
-    problem of size - 1.  With elem(v)^-1 = [[0, 1], [-1, v]], a pinned
-    first component needs m_(n-1)(a_2..a_n) = +/-target * elem(v)^-1 and
-    a pinned last one m_(n-1)(a_1..a_(n-1)) = +/-elem(v)^-1 * target.
-    Tally keys and listings gain v back at that end.
+    The join searches the box _plan leaves for m_n(rest) = +/-R with
+    R = m_n(tail)^-1 * target * m_n(head)^-1; tally keys and listings
+    then get the pinned head and tail back.
     """
-    fold = _end_to_fold(size, bound, fixed)
-    if fold is not None:
-        at_first, inner = fold
-        v = fixed[1 if at_first else size]
-        if at_first:
-            rows = [(-b, a + v * b, -d, c + v * d) for a, b, c, d in target_rows]
-        else:
-            rows = [(c, d, v * c - a, v * d - b) for a, b, c, d in target_rows]
-        inner_tallies, listings = _solve_mitm(
-            rows, size - 1, bound, inner, workers, budget, want_list)
-        tallies = []
-        for inner_tally in inner_tallies:
-            tally = Counter()
-            for (first, last, touched), solutions in inner_tally.items():
-                key = (v, last) if at_first else (first, v)
-                tally[key + (touched or v >= bound,)] += solutions
-            tallies.append(tally)
-        if listings is not None:
-            listings = [[(v,) + t for t in listed] if at_first else [t + (v,) for t in listed]
-                        for listed in listings]
-        return tallies, listings
-    middle, suffix = _side_sizes(size, bound, fixed)
-    _check_budget(middle, budget, "the middle table")
-    _check_budget(suffix, budget, "the suffix sweep")
-    lows, highs = _box(size, bound, fixed)
-    h = (size + 1) // 2
+    head, tail, lows, highs, h = _plan(size, bound, fixed)
+    _check_budget(_projected(lows[1:h], highs[1:h]), budget, "the middle table")
+    _check_budget(_projected(lows[h:], highs[h:]), budget, "the suffix sweep")
+    head_inv = m_n(head).inverse() if head else IDENTITY
+    tail_inv = m_n(tail).inverse() if tail else IDENTITY
+    rows = [(tail_inv * Mat2(*row) * head_inv).entries() for row in target_rows]
     table = _build_table(lows[1:h], highs[1:h])
-    ctx = (table, target_rows, tuple(lows[h:]), tuple(highs[h:]), bound,
+    ctx = (table, rows, tuple(lows[h:]), tuple(highs[h:]), bound,
            lows[0], highs[0], want_list)
-    return _merge_joins(_run_partitioned(lows[h], highs[h], workers, ctx))
+    tallies, listings = _merge_joins(_run_partitioned(lows[h], highs[h], workers, ctx))
+    pinned_touch = max(head + tail, default=0) >= bound
+    for ti, inner in enumerate(tallies):
+        tallies[ti] = Counter()
+        for (first, last, touched), solutions in inner.items():
+            key = (head[0] if head else first, tail[-1] if tail else last)
+            tallies[ti][key + (touched or pinned_touch,)] += solutions
+    if listings is not None:
+        listings = [[head + t + tail for t in listed] for listed in listings]
+    return tallies, listings
 
 
 def _solve_direct(target_rows, lows, highs, bound, want_list):
@@ -448,17 +433,16 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     return tallies, listings
 
 
-def _check_run(size, bound, method):
+def _check_run(size, bound, method, workers):
     """(bound, route) for a solve or survey; route is "direct" or "mitm".
 
-    Raises ValueError for a size or bound that is not a positive
-    integer, an unknown method, or a route the size cannot take.
+    Raises ValueError for a size, bound or worker count that is not a
+    positive integer, an unknown method, or a route the size cannot take.
     """
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
     bound = size if bound is None else bound
-    if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
-        raise ValueError(f"bound must be a positive integer, got {bound!r}")
+    for label, value in (("size", size), ("bound", bound), ("workers", workers)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{label} must be a positive integer, got {value!r}")
     if method not in ("auto", "direct", "mitm"):
         raise ValueError(f"method must be auto, direct or mitm, got {method!r}")
     if method == "auto":
@@ -481,7 +465,7 @@ def solve(query):
     """Solve one OracleQuery exhaustively; returns a SolutionSet."""
     mat, name = _normalize_target(query.target)
     size = query.size
-    bound, method = _check_run(size, query.bound, query.method)
+    bound, method = _check_run(size, query.bound, query.method, query.workers)
     fixed = _normalize_constraints(query.constraints, size)
     tallies, listings = _solve_batch(
         method, [mat.entries()], size, bound, fixed, query.workers,
@@ -517,10 +501,9 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     single direct enumeration, so surveying the eight named targets
     costs little more than one.
     """
-    if targets is None:
-        specs = list(TARGETS)
-    else:
-        specs = list(targets)
+    if isinstance(targets, (str, Mat2)):
+        raise ValueError(f"survey targets must be a collection of targets, got {targets!r}")
+    specs = list(TARGETS if targets is None else targets)
     if not specs:
         raise ValueError("survey needs at least one target")
     labels = []
@@ -533,7 +516,7 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
         named.append(name is not None)
     if len(set(labels)) != len(labels):
         raise ValueError("survey targets must be distinct")
-    bound, method = _check_run(size, bound, method)
+    bound, method = _check_run(size, bound, method, workers)
     tallies, _ = _solve_batch(
         method, entry_rows, size, bound, {}, workers, max_table_entries, False)
     counts, touches, by_last, by_first_last = zip(*map(_summary, tallies))

@@ -2,7 +2,7 @@ import pytest
 
 from quiddity.matrices import (
     IDENTITY, S, T, TARGETS, GeneratorWord, Mat2, WordParseError,
-    elem, equal_up_to_sign, inverse, m_n, parse_target, parse_word,
+    elem, equal_up_to_sign, m_n, parse_target, parse_word,
     word_to_matrix,
 )
 
@@ -44,7 +44,7 @@ def test_mat2_is_immutable_and_hashable():
 def test_inverse():
     mat = Mat2(2, 3, 1, 2)
     assert mat.det() == 1
-    assert mat * inverse(mat) == IDENTITY
+    assert mat * mat.inverse() == IDENTITY
     with pytest.raises(ValueError):
         Mat2(2, 0, 0, 2).inverse()
 

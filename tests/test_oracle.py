@@ -217,6 +217,10 @@ def test_survey_rejects_bad_batches():
         survey(5, targets=["Id", "Id"])
     with pytest.raises(ValueError):
         survey(0)
+    # one target instead of a batch: a string would be split into letters
+    for single in ("ST", "Id", matrices.TARGETS["S"]):
+        with pytest.raises(ValueError):
+            survey(5, targets=single)
     # solve and survey share their size and bound checks, messages included
     for size, bound in ((5, 0), (5, True), (True, None)):
         with pytest.raises(ValueError) as by_solve:
@@ -224,6 +228,15 @@ def test_survey_rejects_bad_batches():
         with pytest.raises(ValueError) as by_survey:
             survey(size, bound=bound)
         assert str(by_survey.value) == str(by_solve.value), (size, bound)
+
+
+def test_workers_validation():
+    for workers in (0, True, "2"):
+        with pytest.raises(ValueError) as by_solve:
+            solve(OracleQuery(target="Id", size=5, workers=workers))
+        with pytest.raises(ValueError) as by_survey:
+            survey(5, workers=workers)
+        assert str(by_survey.value) == str(by_solve.value), workers
 
 
 def test_survey_matches_individual_solves():
@@ -324,8 +337,8 @@ def test_targets_outside_sl2z_are_refused():
 
 def test_folded_mitm_matches_direct():
     # one end pinned, both ends pinned, ends pinned at or above a lowered
-    # bound, and an end pin with an interior pin (at size 5, {2: 1, 5: 2} is
-    # left unfolded: see test_pinned_ends_are_folded)
+    # bound, and an end pin with an interior pin (at size 5, {2: 1, 5: 2}
+    # is peeled and then balanced: see test_pinned_ends_are_folded)
     targets = list(matrices.TARGETS) + ["[[2,3],[1,2]]"]
     for size in range(3, 8):
         cases = [(None, {1: 2}), (None, {size: 3}), (None, {1: 1, size: 2}),
@@ -359,11 +372,35 @@ def test_pinned_ends_are_folded(monkeypatch):
     yielded.clear()
     assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
     assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
-    # folding a_5 would move the split past the pinned a_2 and turn two
-    # sides of 5 tuples into a sweep of 25, over this budget
+    # peeling a_5 leaves a_1..a_4 with a_2 pinned; splitting that box in
+    # the middle would give a sweep of 25, over this budget, so the split
+    # balances at a table over a_2..a_3 and a sweep over a_4, of 5 each
     want = sum(1 for d in _listing("Id", 5).solutions if (d[1], d[4]) == (1, 2))
     assert solve(OracleQuery(target="Id", size=5, constraints={2: 1, 5: 2},
                              max_table_entries=5)).count == want == 1
+    # no end pinned, but the interior pins a_2, a_3 move the balanced split:
+    # table over a_2..a_5, sweep over a_6..a_8 (split in the middle: 8 and 8^4)
+    yielded.clear()
+    assert _pinned_count("Id", 8, {2: 1, 3: 2}) == 22
+    assert (yielded[0], sum(yielded[1:])) == (8 ** 2, 8 ** 3)
+
+
+def test_plan_never_enlarges_a_side():
+    # every pin set at sizes 2..12, against the unpeeled box split in the middle
+    bound = 3
+    for size in range(2, 13):
+        middle = (size + 1) // 2
+        for mask in range(1 << size):
+            fixed = {pos: 2 for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
+            head, tail, lows, highs, h = oracle._plan(size, bound, fixed)
+            assert len(lows) >= 2 and 1 <= h < len(lows)
+            assert len(head) + len(lows) + len(tail) == size
+            lows0, highs0 = oracle._box(size, bound, fixed)
+            largest = max(oracle._projected(lows0[1:middle], highs0[1:middle]),
+                          oracle._projected(lows0[middle:], highs0[middle:]))
+            assert max(oracle._projected(lows[1:h], highs[1:h]),
+                       oracle._projected(lows[h:], highs[h:])) <= largest, (size, fixed)
+        assert oracle._plan(size, bound, {}) == ((), (), [1] * size, [bound] * size, middle)
 
 
 def test_folded_solve_is_the_same_for_any_worker_count():
