@@ -25,7 +25,7 @@ def main():
     p_inv = census.series_P_inverse(ORDER)
     u1 = census.series_U(1, ORDER)
     v1 = census.series_V(1, ORDER)
-    w11 = census.series_W11(ORDER)
+    w11 = census.series_W(1, 1, ORDER)
 
     print(f"P  = {list(p.coeffs)}")
     print(f"Q  = {list(q.coeffs)}")

@@ -142,13 +142,9 @@ def series_V(k, order):
     return series_row("V", order, k)[1]
 
 
-def series_W11(order):
-    """Series of first-and-last-component-1 counts: (1/P) * (Q - 1) * (1/P)."""
-    return _build(order).row("W", 1)
-
-
 def series_W(k, l, order):
-    """Series of (first, last) = (k, l) counts: W11 * (1 - 1/P)^(k+l-2)."""
+    """Series of (first, last) = (k, l) counts: W11 * (1 - 1/P)^(k+l-2),
+    with W11 = (1/P) * (Q - 1) * (1/P)."""
     return series_row("W", order, k, l)[1]
 
 
@@ -249,7 +245,7 @@ _FAMILY_START = {
 }
 
 _FORMULA_FAMILIES = {
-    "P": formulas.coeff_P,
+    "P": lambda n: formulas.coeff_powP(1, n),
     "Q": formulas.coeff_Q,
     "Ptilde": formulas.coeff_Ptilde,
     "D": formulas.coeff_D,

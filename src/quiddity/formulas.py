@@ -1,16 +1,19 @@
 """Closed-form coefficient and count formulas, evaluated exactly.
 
-Each sum is accumulated as an exact rational and the final total must be
-an integer; anything else raises NonIntegralSumError, because a
-fractional total can only mean a transcription or convention bug.
-Per-term integrality is deliberately not assumed.
+Every closed form below is a finite binomial sum whose terms are
+rationals.  Each one hands its (numerator, denominator) terms to one
+exact-sum kernel, which adds them as exact rationals and requires the
+total to be an integer; anything else raises NonIntegralSumError,
+because a fractional total can only mean a transcription or convention
+bug.  Per-term integrality is deliberately not assumed.
 
 Series letters used across the package (defined by what they count, all
 for tuples of size n + 2):
 
     Q_n  solutions of the identity-target equation ("quiddities");
     P_n  the subfamily used as the algebraic workhorse: Q's generating
-         series Q(X) and P(X) are linked by Q - 1 = V_1 * P;
+         series Q(X) and P(X) are linked by Q - 1 = V_1 * P; its closed
+         form is the e = 1 case of coeff_powP;
     Ptilde_n  coefficients of the reciprocal series 1 / P(X);
     V1_n  identity-target solutions whose last component is 1;
     W11_n identity-target solutions whose first and last components are 1;
@@ -40,25 +43,14 @@ def binom_conv(top, k):
     return comb(top, k)
 
 
-def _as_int(total, label):
+def _exact_sum(label, terms):
+    """Exact sum of num/den over the (num, den) int pairs; must be an integer."""
+    total = Fraction(0)
+    for num, den in terms:
+        total += Fraction(num, den)
     if total.denominator != 1:
         raise NonIntegralSumError(f"{label} summed to the non-integer {total}")
     return int(total)
-
-
-def coeff_P(n):
-    """n-th coefficient of the series P."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 1
-    total = Fraction(0)
-    for k in range(n // 3 + 1):
-        total += Fraction(
-            binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 4 * k, n - 3 * k),
-            n - k + 1,
-        )
-    return _as_int(total, f"P_{n}")
 
 
 def coeff_Q(n):
@@ -67,16 +59,10 @@ def coeff_Q(n):
         raise ValueError("index must be nonnegative")
     if n == 0:
         return 1
-    total = Fraction(0)
-    for k in range(n // 3 + 1):
-        for s in range(k + 1):
-            total += Fraction(
-                (3 * (k - s) + 2)
-                * binom_conv(n - 3 * k + s - 2, s)
-                * binom_conv(2 * n - 3 * k - s - 1, n - 3 * k - 1),
-                n - s + 1,
-            )
-    return _as_int(total, f"Q_{n}")
+    return _exact_sum(f"Q_{n}", (
+        ((3 * (k - s) + 2) * binom_conv(n - 3 * k + s - 2, s)
+         * binom_conv(2 * n - 3 * k - s - 1, n - 3 * k - 1), n - s + 1)
+        for k in range(n // 3 + 1) for s in range(k + 1)))
 
 
 def coeff_Ptilde(n):
@@ -85,35 +71,23 @@ def coeff_Ptilde(n):
         raise ValueError("index must be nonnegative")
     if n == 0:
         return 1
-    total = Fraction(0)
-    for j in range(n):
-        for k in range((n - j - 1) // 2 + 1):
-            sign = -1 if (j - k) % 2 else 1
-            outer = sign * comb(j, k)
-            for l in range((n - j - 2 * k - 1) // 3 + 1):
-                total += outer * Fraction(
-                    (2 * j + 2)
-                    * binom_conv(n - j - 2 * k - 2 * l - 2, l)
-                    * binom_conv(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
-                    n + j - 2 * k - l + 1,
-                )
-    return -_as_int(total, f"Ptilde_{n}")
+    return -_exact_sum(f"Ptilde_{n}", (
+        ((-1 if (j - k) % 2 else 1) * comb(j, k) * (2 * j + 2)
+         * binom_conv(n - j - 2 * k - 2 * l - 2, l)
+         * binom_conv(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
+         n + j - 2 * k - l + 1)
+        for j in range(n) for k in range((n - j - 1) // 2 + 1)
+        for l in range((n - j - 2 * k - 1) // 3 + 1)))
 
 
 def coeff_V1(n):
     """Identity-target solutions of size n + 2 with last component 1 (n >= 1)."""
     if n < 1:
         raise ValueError("index must be at least 1")
-    total = Fraction(0)
-    for j in range((n - 1) // 3 + 1):
-        for k in range((n - 3 * j - 1) // 3 + 1):
-            total += Fraction(
-                (3 * j + 1)
-                * binom_conv(n - 3 * j - 2 * k - 2, k)
-                * binom_conv(2 * n - 4 * k - 3 * j - 2, n - 3 * k - 3 * j - 1),
-                n - k,
-            )
-    return _as_int(total, f"V1_{n}")
+    return _exact_sum(f"V1_{n}", (
+        ((3 * j + 1) * binom_conv(n - 3 * j - 2 * k - 2, k)
+         * binom_conv(2 * n - 4 * k - 3 * j - 2, n - 3 * k - 3 * j - 1), n - k)
+        for j in range((n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
 
 
 def coeff_W11(n):
@@ -124,43 +98,31 @@ def coeff_W11(n):
         return 0
     if n == 1:
         return 1
-    total = Fraction(0)
-    for j in range(1, (n - 1) // 3 + 1):
-        for k in range((n - 3 * j - 1) // 3 + 1):
-            total += Fraction(
-                3 * j
-                * binom_conv(n - 3 * j - 2 * k - 2, k)
-                * binom_conv(2 * n - 3 * j - 4 * k - 3, n - 3 * j - 3 * k - 1),
-                n - 1 - k,
-            )
-    return _as_int(total, f"W11_{n}")
+    return _exact_sum(f"W11_{n}", (
+        (3 * j * binom_conv(n - 3 * j - 2 * k - 2, k)
+         * binom_conv(2 * n - 3 * j - 4 * k - 3, n - 3 * j - 3 * k - 1), n - 1 - k)
+        for j in range(1, (n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
 
 
 def coeff_powP(e, n):
-    """n-th coefficient of P(X)**e, by the closed form (no series product)."""
+    """n-th coefficient of P(X)**e, by the closed form (no series product); e = 1 is P."""
     if e < 1:
         raise ValueError("exponent must be at least 1")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    total = Fraction(0)
-    for k in range(n // 3 + 1):
-        total += Fraction(
-            e
-            * binom_conv(n - 2 * k - 1, k)
-            * binom_conv(2 * n - 4 * k + e - 1, n - 3 * k),
-            n - k + e,
-        )
-    return _as_int(total, f"[X^{n}]P^{e}")
+    return _exact_sum(f"[X^{n}]P^{e}", (
+        (e * binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 4 * k + e - 1, n - 3 * k),
+         n - k + e)
+        for k in range(n // 3 + 1)))
 
 
 def coeff_D(n):
     """Number of 3-divisible dissections of a convex (n+2)-gon."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    total = 0
-    for k in range(n // 3 + 1):
-        total += binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 3 * k, n - 3 * k)
-    return _as_int(Fraction(total, n + 1), f"D_{n}")
+    return _exact_sum(f"D_{n}", (
+        (binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 3 * k, n - 3 * k), n + 1)
+        for k in range(n // 3 + 1)))
 
 
 def coeff_E(n):

@@ -13,7 +13,6 @@ generator words such as "TST^-1", or explicit matrices "[[a,b],[c,d]]".
 
 import json
 import re
-from dataclasses import dataclass
 
 
 class WordParseError(ValueError):
@@ -121,29 +120,20 @@ def equal_up_to_sign(lhs, rhs):
     return la == -ra and lb == -rb and lc == -rc and ld == -rd
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
-    """A word in the generators: ordered (letter, exponent) tokens.
-
-    Letters are S and T.  T takes any integer exponent; S only +/-1 at
-    parse level (S^-1 is exactly S*S*S, since S has order 4).
-    """
-
-    tokens: tuple
-
-    def __str__(self):
-        parts = []
-        for letter, exponent in self.tokens:
-            parts.append(letter if exponent == 1 else f"{letter}^{exponent}")
-        return "".join(parts)
-
-
 _TOKEN = re.compile(r"\s*([ST])(?:\^(-?\d+))?\s*")
+_S_INVERSE = Mat2(0, 1, -1, 0)  # equals S*S*S
 
 
-def parse_word(text):
-    """Parse a generator word such as "TS", "T^3S", "ST^-1S^-1"."""
-    tokens = []
+def word_to_matrix(text):
+    """Multiply out a generator word such as "TS", "T^3S" or "ST^-1S^-1".
+
+    Letters are S and T, multiplied left to right as written.  T takes
+    any integer exponent; S only +/-1 (S^-1 is exactly S*S*S, since S
+    has order 4).
+    """
+    if not text:
+        raise WordParseError("empty generator word")
+    result = IDENTITY
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
@@ -151,31 +141,16 @@ def parse_word(text):
             raise WordParseError(f"cannot read generator word {text!r} at position {pos}")
         letter, raw_exponent = match.group(1), match.group(2)
         exponent = 1 if raw_exponent is None else int(raw_exponent)
-        if letter == "S" and exponent not in (-1, 1):
-            raise WordParseError(f"exponent of S must be 1 or -1, got {exponent}")
-        tokens.append((letter, exponent))
-        pos = match.end()
-    if not tokens:
-        raise WordParseError("empty generator word")
-    return GeneratorWord(tokens=tuple(tokens))
-
-
-_S_INVERSE = Mat2(0, 1, -1, 0)  # equals S*S*S
-
-
-def word_to_matrix(word):
-    """Multiply a generator word out, left to right as written."""
-    if isinstance(word, str):
-        word = parse_word(word)
-    result = IDENTITY
-    for letter, exponent in word.tokens:
         if letter == "T":
             factor = Mat2(1, exponent, 0, 1)
         elif exponent == 1:
             factor = S
-        else:
+        elif exponent == -1:
             factor = _S_INVERSE
+        else:
+            raise WordParseError(f"exponent of S must be 1 or -1, got {exponent}")
         result = result * factor
+        pos = match.end()
     return result
 
 
@@ -196,7 +171,7 @@ def parse_target(text):
         ):
             raise WordParseError(f"matrix literal must be [[a,b],[c,d]] with integers, got {text!r}")
         return check_target(Mat2(rows[0][0], rows[0][1], rows[1][0], rows[1][1]))
-    return word_to_matrix(parse_word(text))
+    return word_to_matrix(text)
 
 
 def check_target(mat):

@@ -98,7 +98,8 @@ class SolutionSet:
 
     exhaustive_within_bound is True when every solution of the equation
     provably has all free components within the bound, which holds for
-    the eight named targets whenever bound >= size; then the count is
+    the eight named targets and their negatives (the equation is taken
+    up to sign) whenever bound >= size; then the count is
     the complete solution count.  When it is False (arbitrary target,
     or a lowered bound) the count is only exhaustive inside the
     searched box and bound_touches is the saturation signal.
@@ -206,6 +207,11 @@ def _normalize_target(spec):
     # for one of them all find it here
     name = next((key for key, value in TARGETS.items() if value == mat), None)
     return mat, name
+
+
+def _exhaustive(mat, size, bound):
+    """True when bound >= size and mat is one of the eight named targets up to sign."""
+    return bound >= size and any(equal_up_to_sign(mat, named) for named in TARGETS.values())
 
 
 def _normalize_constraints(constraints, size):
@@ -487,7 +493,7 @@ def solve(query):
         by_last=by_last,
         by_first_last=by_first_last,
         method=method,
-        exhaustive_within_bound=name is not None and bound >= size,
+        exhaustive_within_bound=_exhaustive(mat, size, bound),
         solutions=tuple(listed) if query.list_solutions else None,
     )
 
@@ -507,18 +513,17 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     if not specs:
         raise ValueError("survey needs at least one target")
     labels = []
-    entry_rows = []
-    named = []
+    mats = []
     for spec in specs:
         mat, name = _normalize_target(spec)
         labels.append(name if name is not None else repr(mat))
-        entry_rows.append(mat.entries())
-        named.append(name is not None)
+        mats.append(mat)
     if len(set(labels)) != len(labels):
         raise ValueError("survey targets must be distinct")
     bound, method = _check_run(size, bound, method, workers)
     tallies, _ = _solve_batch(
-        method, entry_rows, size, bound, {}, workers, max_table_entries, False)
+        method, [mat.entries() for mat in mats], size, bound, {}, workers,
+        max_table_entries, False)
     counts, touches, by_last, by_first_last = zip(*map(_summary, tallies))
 
     return SurveyResult(
@@ -529,16 +534,11 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
         by_last=dict(zip(labels, by_last)),
         by_first_last=dict(zip(labels, by_first_last)),
         exhaustive_within_bound={
-            label: is_named and bound >= size
-            for label, is_named in zip(labels, named)
+            label: _exhaustive(mat, size, bound) for label, mat in zip(labels, mats)
         },
     )
 
 
-def count_component_at(target, size, position, value, bound=None, workers=1,
-                       max_table_entries=DEFAULT_MAX_TABLE_ENTRIES):
+def count_component_at(target, size, position, value):
     """Number of solutions with the given component pinned at a position."""
-    query = OracleQuery(target=target, size=size, bound=bound,
-                        constraints={position: value}, workers=workers,
-                        max_table_entries=max_table_entries)
-    return solve(query).count
+    return solve(OracleQuery(target=target, size=size, constraints={position: value})).count

@@ -163,7 +163,7 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
 
     v1 = census.series_V(1, order)
     u1 = census.series_U(1, order)
-    w11 = census.series_W11(order)
+    w11 = census.series_W(1, 1, order)
     q_minus_1 = q.sub(one)
     p_minus_1 = p.sub(one)
     report.check("identity:V1-times-P", q_minus_1.coeffs, v1.mul(p).coeffs)

@@ -10,7 +10,7 @@ def test_series_rows_pinned():
     assert census.series_P(7).coeffs == (1, 1, 2, 5, 15, 48, 160, 550)
     assert census.series_Q(7).coeffs == (1, 1, 2, 5, 15, 49, 166, 577)
     assert census.series_V(1, 7).coeffs == (0, 1, 1, 2, 6, 19, 62, 209)
-    assert census.series_W11(7).coeffs == (0, 1, 0, 0, 1, 3, 9, 29)
+    assert census.series_W(1, 1, 7).coeffs == (0, 1, 0, 0, 1, 3, 9, 29)
 
 
 def test_series_constructions_agree():

@@ -104,6 +104,13 @@ def test_oracle_word_target(capsys):
                            "--size", "5", "--format", "json")
     assert code == 0
     assert json.loads(out)["exhaustive_within_bound"] is False
+    # S^-1 is -S, so its equation is the named target S's
+    code, out, _ = run_cli(capsys, "oracle", "--target", "S^-1", "--size", "5",
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["target_name"] is None
+    assert payload["exhaustive_within_bound"] is True
 
 
 def test_usage_errors_exit_2(capsys):

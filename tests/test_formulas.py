@@ -26,7 +26,8 @@ def test_binom_conv_matches_comb_in_range():
 
 
 def test_coeff_P_row():
-    assert [formulas.coeff_P(n) for n in range(8)] == [1, 1, 2, 5, 15, 48, 160, 550]
+    # P is the e = 1 power of itself
+    assert [formulas.coeff_powP(1, n) for n in range(8)] == [1, 1, 2, 5, 15, 48, 160, 550]
 
 
 def test_coeff_Q_row():
@@ -52,7 +53,7 @@ def test_coeff_powP_small_exponents():
     # e = 1 must reproduce P itself
     assert [formulas.coeff_powP(1, n) for n in range(7)] == [1, 1, 2, 5, 15, 48, 160]
     # e = 2 is the Cauchy square of the P row
-    p = [formulas.coeff_P(n) for n in range(7)]
+    p = [formulas.coeff_powP(1, n) for n in range(7)]
     square = [sum(p[i] * p[n - i] for i in range(n + 1)) for n in range(7)]
     assert [formulas.coeff_powP(2, n) for n in range(7)] == square
 
@@ -77,11 +78,46 @@ def test_coeff_F_is_scaled_D():
 
 
 def test_index_guards():
-    for fn in (formulas.coeff_P, formulas.coeff_Q, formulas.coeff_Ptilde,
-               formulas.coeff_W11, formulas.coeff_D):
+    for fn in (lambda n: formulas.coeff_powP(1, n), formulas.coeff_Q,
+               formulas.coeff_Ptilde, formulas.coeff_W11, formulas.coeff_D):
         with pytest.raises(ValueError):
             fn(-1)
+    with pytest.raises(ValueError):
+        formulas.coeff_powP(0, 3)
     with pytest.raises(ValueError):
         formulas.coeff_E(2)
     with pytest.raises(ValueError):
         formulas.coeff_F(2)
+
+
+def test_non_integral_sum_names_its_label(monkeypatch):
+    # binomials that are all off by one, as a convention slip would make them
+    real = formulas.binom_conv
+    monkeypatch.setattr(formulas, "binom_conv", lambda top, k: real(top, k) + 1)
+    with pytest.raises(formulas.NonIntegralSumError,
+                       match=r"^D_4 summed to the non-integer 154/5$"):
+        formulas.coeff_D(4)
+    with pytest.raises(formulas.NonIntegralSumError,
+                       match=r"^\[X\^4\]P\^2 summed to the non-integer 1342/15$"):
+        formulas.coeff_powP(2, 4)
+
+
+def test_every_closed_form_sums_through_the_kernel(monkeypatch):
+    class Sentinel(Exception):
+        pass
+
+    def spy(label, terms):
+        raise Sentinel(label)
+
+    monkeypatch.setattr(formulas, "_exact_sum", spy)
+    # each closed form at its smallest index past the special cases;
+    # E and F reach the kernel through D
+    cases = [(formulas.coeff_Q, 1, "Q_1"), (formulas.coeff_Ptilde, 1, "Ptilde_1"),
+             (formulas.coeff_V1, 1, "V1_1"), (formulas.coeff_W11, 2, "W11_2"),
+             (lambda n: formulas.coeff_powP(2, n), 0, "[X^0]P^2"),
+             (formulas.coeff_D, 0, "D_0"), (formulas.coeff_E, 4, "D_1"),
+             (formulas.coeff_F, 3, "D_1")]
+    for fn, n, label in cases:
+        with pytest.raises(Sentinel) as caught:
+            fn(n)
+        assert caught.value.args == (label,)

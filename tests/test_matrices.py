@@ -1,9 +1,8 @@
 import pytest
 
 from quiddity.matrices import (
-    IDENTITY, S, T, TARGETS, GeneratorWord, Mat2, WordParseError,
-    elem, equal_up_to_sign, m_n, parse_target, parse_word,
-    word_to_matrix,
+    IDENTITY, S, T, TARGETS, Mat2, WordParseError,
+    elem, equal_up_to_sign, m_n, parse_target, word_to_matrix,
 )
 
 
@@ -91,18 +90,21 @@ def test_equal_up_to_sign():
 
 
 def test_parse_word_tokens():
-    word = parse_word("T^3ST^-1S^-1")
-    assert word.tokens == (("T", 3), ("S", 1), ("T", -1), ("S", -1))
-    assert str(word) == "T^3ST^-1S^-1"
+    # tokens T^3, S, T^-1, S^-1, multiplied left to right
+    mat = word_to_matrix("T^3ST^-1S^-1")
+    assert mat == T * T * T * S * T.inverse() * S.inverse()
+    assert mat == Mat2(4, 3, 1, 1)
+    assert word_to_matrix(" T^3 S T^-1 S^-1 ") == mat
 
 
 def test_parse_word_rejects_garbage():
-    with pytest.raises(WordParseError):
-        parse_word("")
-    with pytest.raises(WordParseError):
-        parse_word("TX")
-    with pytest.raises(WordParseError):
-        parse_word("S^2")
+    with pytest.raises(WordParseError, match="^empty generator word$"):
+        word_to_matrix("")
+    with pytest.raises(WordParseError,
+                       match=r"^cannot read generator word 'TX' at position 1$"):
+        word_to_matrix("TX")
+    with pytest.raises(WordParseError, match="^exponent of S must be 1 or -1, got 2$"):
+        word_to_matrix("S^2")
 
 
 def test_word_to_matrix_reads_left_to_right():
@@ -110,7 +112,6 @@ def test_word_to_matrix_reads_left_to_right():
     assert word_to_matrix("ST") == S * T
     assert word_to_matrix("T^2") == Mat2(1, 2, 0, 1)
     assert word_to_matrix("S^-1") == S * S * S
-    assert word_to_matrix(GeneratorWord((("T", 1), ("S", 1)))) == T * S
 
 
 def test_parse_target_names_words_and_literals():

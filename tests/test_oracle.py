@@ -144,6 +144,17 @@ def test_exhaustiveness_flag():
     arbitrary = solve(OracleQuery(target="TT", size=5))
     assert arbitrary.target_name is None
     assert not arbitrary.exhaustive_within_bound
+    # m_n = +/-M is one equation for M and -M: a negated named target is
+    # exhausted as well, though it keeps no name
+    for spec in ("S^-1", "[[-1,0],[0,-1]]", matrices.Mat2(-1, -1, 0, -1)):
+        negated = solve(OracleQuery(target=spec, size=5))
+        assert negated.target_name is None
+        assert negated.exhaustive_within_bound, spec
+        assert not solve(OracleQuery(target=spec, size=5, bound=4)).exhaustive_within_bound
+    sv = survey(5, targets=["[[-1,0],[0,-1]]", "S^-1", "TT"])
+    assert sv.exhaustive_within_bound == {
+        "[[-1,0],[0,-1]]": True, "[[0,1],[-1,0]]": True, "[[1,2],[0,1]]": False}
+    assert not any(survey(5, bound=4, targets=["S^-1"]).exhaustive_within_bound.values())
 
 
 def test_lowered_bound_counts_the_smaller_box():
