@@ -25,8 +25,10 @@ enumerated.
 Every route records what it finds in one tally per target,
 {(first, last, touched): solutions}, where touched says whether a
 component reaches the bound, next to the tuples themselves when a
-listing was asked for.  _summary derives the count, the bound touches
-and both histograms from the tally, so no route computes them itself.
+listing was asked for.  solve and survey both run one _run, which
+checks the run, takes a route, re-multiplies every mitm listing
+through m_n and has _summary derive the count, the bound touches and
+both histograms from each tally, so no route computes them itself.
 
 _plan lays out each search.  Pinned components come off both ends as
 a head and a tail, folded into the targets with one matrix product,
@@ -37,6 +39,8 @@ rest is then chosen where table and sweep balance.
 Both the middle table and the suffix sweep walk their boxes with one
 odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
 its innermost digit is a single row addition on the running product.
+_sweep partitions the suffix sweep by its first digit, runs the
+partitions in a fork pool capped at the CPU count, and merges them.
 
 The direct route, the reference the join is checked against, shares
 no search code with the join: it enumerates every tuple of the box once
@@ -50,6 +54,7 @@ the usual saturation sanity signal.
 """
 
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 
@@ -122,8 +127,9 @@ class SolutionSet:
 class SurveyResult:
     """Counts and histograms for a batch of targets at one size.
 
-    All dicts are keyed by target label; exhaustive_within_bound has
-    the same meaning as on SolutionSet, per target.
+    All dicts are keyed by target label: the target's name, else the
+    repr of its matrix.  exhaustive_within_bound has the same meaning as
+    on SolutionSet, per target.
     """
 
     size: int
@@ -319,31 +325,29 @@ def _join_partition_task(first_value):
     return _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list)
 
 
-def _run_partitioned(lo, hi, workers, ctx):
-    """Join the suffix partitions lo..hi of the first digit, in ascending order.
+def _sweep(ctx, workers):
+    """Join the suffix sweep one first-digit partition at a time; merged (tallies, listings).
 
-    Partitions are independent, so with workers > 1 they go to a fork
-    pool (children inherit the context, including the middle table,
-    without pickling it); merge order stays ascending either way, which
-    keeps results identical for any worker count.  Where the platform
-    has no fork the partitions run serially.
+    Partitions are independent, so they go to a fork pool of
+    min(workers, partitions, os.cpu_count()) processes (children inherit
+    the context, including the middle table, without pickling it).  A
+    pool of one, or a platform without fork, runs them serially.  The
+    merge adds the partitions in ascending order and sorts the listings,
+    which keeps results identical for any worker count.
     """
     global _WORKER_CTX
-    values = list(range(lo, hi + 1))
+    slows, shighs = ctx[2], ctx[3]
+    values = range(slows[0], shighs[0] + 1)
+    pool_size = min(workers, len(values), os.cpu_count() or 1)
     _WORKER_CTX = ctx
     try:
-        if (workers <= 1 or len(values) == 1
-                or "fork" not in multiprocessing.get_all_start_methods()):
-            return [_join_partition_task(v) for v in values]
-        pool_size = min(workers, len(values))
-        with multiprocessing.get_context("fork").Pool(pool_size) as pool:
-            return pool.map(_join_partition_task, values)
+        if pool_size > 1 and "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(pool_size) as pool:
+                parts = pool.map(_join_partition_task, values)
+        else:
+            parts = [_join_partition_task(v) for v in values]
     finally:
         _WORKER_CTX = None
-
-
-def _merge_joins(parts):
-    """Sum the partitions' tallies and concatenate their listings, sorted."""
     tallies, listings = parts[0]
     for part_tallies, part_listings in parts[1:]:
         for tally, part in zip(tallies, part_tallies):
@@ -351,9 +355,8 @@ def _merge_joins(parts):
         if listings is not None:
             for listed, part in zip(listings, part_listings):
                 listed.extend(part)
-    if listings is not None:
-        for listed in listings:
-            listed.sort()
+    for listed in listings or ():
+        listed.sort()
     return tallies, listings
 
 
@@ -399,7 +402,7 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     table = _build_table(lows[1:h], highs[1:h])
     ctx = (table, rows, tuple(lows[h:]), tuple(highs[h:]), bound,
            lows[0], highs[0], want_list)
-    tallies, listings = _merge_joins(_run_partitioned(lows[h], highs[h], workers, ctx))
+    tallies, listings = _sweep(ctx, workers)
     pinned_touch = max(head + tail, default=0) >= bound
     for ti, inner in enumerate(tallies):
         tallies[ti] = Counter()
@@ -417,7 +420,7 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     One walk over every tuple of the box serves all targets: each
     product is looked up in a dict from the target entry rows and their
     negations to target indices, so targets equal up to sign are all
-    credited.  Returns (tallies, listings) like _merge_joins, with the
+    credited.  Returns (tallies, listings) like _sweep, with the
     solutions in ascending order.
     """
     hits = {}
@@ -458,44 +461,38 @@ def _check_run(size, bound, method, workers):
     return bound, method
 
 
-def _solve_batch(method, target_rows, size, bound, fixed, workers, budget, want_list):
-    """(tallies, listings) per target, by the given route."""
+def _run(targets, size, bound, constraints, method, workers, budget, want_list):
+    """One SolutionSet per normalized (matrix, name) target, from one walk of the box.
+
+    Checks the run and the constraints, takes the direct or the mitm
+    route under its budget, re-multiplies every mitm listing through m_n
+    and summarizes each target's tally.
+    """
+    bound, method = _check_run(size, bound, method, workers)
+    fixed = _normalize_constraints(constraints, size)
+    rows = [mat.entries() for mat, _ in targets]
     if method == "direct":
         lows, highs = _box(size, bound, fixed)
         _check_budget(_projected(lows, highs), budget, "direct enumeration")
-        return _solve_direct(target_rows, lows, highs, bound, want_list)
-    return _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list)
+        tallies, listings = _solve_direct(rows, lows, highs, bound, want_list)
+    else:
+        tallies, listings = _solve_mitm(rows, size, bound, fixed, workers, budget, want_list)
+        for (mat, _), listed in zip(targets, listings or ()):
+            for digits in listed:
+                if not equal_up_to_sign(m_n(digits), mat):
+                    raise RuntimeError(f"internal error: {digits} fails re-verification")
+    return [
+        SolutionSet(mat, name, size, bound, *_summary(tally), method,
+                    _exhaustive(mat, size, bound), None if listed is None else tuple(listed))
+        for (mat, name), tally, listed in zip(targets, tallies, listings or [None] * len(targets))
+    ]
 
 
 def solve(query):
     """Solve one OracleQuery exhaustively; returns a SolutionSet."""
-    mat, name = _normalize_target(query.target)
-    size = query.size
-    bound, method = _check_run(size, query.bound, query.method, query.workers)
-    fixed = _normalize_constraints(query.constraints, size)
-    tallies, listings = _solve_batch(
-        method, [mat.entries()], size, bound, fixed, query.workers,
-        query.max_table_entries, query.list_solutions)
-    count, touches, by_last, by_first_last = _summary(tallies[0])
-    listed = listings[0] if listings is not None else None
-    if method == "mitm":
-        for digits in listed or ():
-            if not equal_up_to_sign(m_n(digits), mat):
-                raise RuntimeError(f"internal error: {digits} fails re-verification")
-
-    return SolutionSet(
-        target=mat,
-        target_name=name,
-        size=size,
-        bound=bound,
-        count=count,
-        bound_touches=touches,
-        by_last=by_last,
-        by_first_last=by_first_last,
-        method=method,
-        exhaustive_within_bound=_exhaustive(mat, size, bound),
-        solutions=tuple(listed) if query.list_solutions else None,
-    )
+    return _run([_normalize_target(query.target)], query.size, query.bound,
+                query.constraints, query.method, query.workers,
+                query.max_table_entries, query.list_solutions)[0]
 
 
 def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTRIES,
@@ -512,31 +509,15 @@ def survey(size, bound=None, workers=1, max_table_entries=DEFAULT_MAX_TABLE_ENTR
     specs = list(TARGETS if targets is None else targets)
     if not specs:
         raise ValueError("survey needs at least one target")
-    labels = []
-    mats = []
-    for spec in specs:
-        mat, name = _normalize_target(spec)
-        labels.append(name if name is not None else repr(mat))
-        mats.append(mat)
+    normalized = [_normalize_target(spec) for spec in specs]
+    labels = [name if name is not None else repr(mat) for mat, name in normalized]
     if len(set(labels)) != len(labels):
         raise ValueError("survey targets must be distinct")
-    bound, method = _check_run(size, bound, method, workers)
-    tallies, _ = _solve_batch(
-        method, [mat.entries() for mat in mats], size, bound, {}, workers,
-        max_table_entries, False)
-    counts, touches, by_last, by_first_last = zip(*map(_summary, tallies))
-
-    return SurveyResult(
-        size=size,
-        bound=bound,
-        counts=dict(zip(labels, counts)),
-        bound_touches=dict(zip(labels, touches)),
-        by_last=dict(zip(labels, by_last)),
-        by_first_last=dict(zip(labels, by_first_last)),
-        exhaustive_within_bound={
-            label: _exhaustive(mat, size, bound) for label, mat in zip(labels, mats)
-        },
-    )
+    results = _run(normalized, size, bound, {}, method, workers, max_table_entries, False)
+    columns = ({label: getattr(res, field) for label, res in zip(labels, results)}
+               for field in ("count", "bound_touches", "by_last", "by_first_last",
+                             "exhaustive_within_bound"))
+    return SurveyResult(size, results[0].bound, *columns)
 
 
 def count_component_at(target, size, position, value):

@@ -251,12 +251,25 @@ def test_workers_validation():
 
 
 def test_survey_matches_individual_solves():
-    sv = survey(6)
-    for name in matrices.TARGETS:
-        single = solve(OracleQuery(target=name, size=6))
-        assert sv.counts[name] == single.count
-        assert sv.by_last[name] == single.by_last
-        assert sv.by_first_last[name] == single.by_first_last
+    # every field, item lists included, for both routes and the default bound;
+    # S^-1 is -S, labelled by its matrix, and [[2,3],[1,2]] is outside the eight
+    targets = list(matrices.TARGETS) + ["S^-1", "[[2,3],[1,2]]"]
+    for method in ("direct", "mitm"):
+        sv = survey(6, targets=targets, method=method)
+        assert len(sv.counts) == len(targets)
+        for label, target in zip(sv.counts, targets):
+            single = solve(OracleQuery(target=target, size=6, method=method))
+            assert (sv.counts[label], sv.bound_touches[label],
+                    list(sv.by_last[label].items()),
+                    list(sv.by_first_last[label].items()),
+                    sv.exhaustive_within_bound[label], sv.bound) == (
+                single.count, single.bound_touches, list(single.by_last.items()),
+                list(single.by_first_last.items()),
+                single.exhaustive_within_bound, single.bound), (method, label)
+    assert sv.counts["S"] == sv.counts["[[0,1],[-1,0]]"] > 0
+    # the batch checks still come before the size check
+    with pytest.raises(ValueError, match="survey targets must be distinct"):
+        survey(0, targets=["Id", "Id"])
 
 
 def test_workers_deterministic():
@@ -285,6 +298,57 @@ def test_workers_fall_back_to_serial_without_fork(monkeypatch, capsys):
     assert cli.main(["oracle", "--target", "Id", "--size", "8",
                      "--workers", "2"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "Id,8,8,166,0,True"
+
+
+def test_fork_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # a fake pool that records its size and maps in this process, so no
+    # process is ever started
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return [fn(v) for v in values]
+
+    class FakeContext:
+        Pool = FakePool
+
+    query = dict(target="Id", size=6, list_solutions=True, method="mitm")
+    serial = solve(OracleQuery(**query))
+    monkeypatch.setattr(oracle.multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    # 6 first-digit partitions: 2000 workers get a pool of two
+    assert solve(OracleQuery(workers=2000, **query)) == serial
+    assert sizes == [2]
+    # one CPU, or none reported, runs serially without a pool
+    for cpus in (1, None):
+        monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+        assert solve(OracleQuery(workers=2000, **query)) == serial
+    assert sizes == [2]
+
+
+def test_mitm_listings_are_re_verified(monkeypatch):
+    real = oracle._join
+
+    def corrupting(*args):
+        tallies, listings = real(*args)
+        if listings is not None:
+            listings[0].append((2, 2, 2, 2, 2, 2))
+        return tallies, listings
+
+    monkeypatch.setattr(oracle, "_join", corrupting)
+    with pytest.raises(RuntimeError) as err:
+        solve(OracleQuery("Id", 6, list_solutions=True, method="mitm"))
+    assert str(err.value) == "internal error: (2, 2, 2, 2, 2, 2) fails re-verification"
 
 
 def test_iter_products_odometer():
