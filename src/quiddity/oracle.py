@@ -16,11 +16,17 @@ m_n(tuple) = +/-target therefore needs Z*e1 = -/+R*e2, and then a_1 is
 the unique integer with a_1*Z*e1 + Z*e2 = +/-R*e1 (unique and integral
 because Z*e1, a column of a determinant-1 matrix, is primitive).
 
-The table holds every middle product with its sign normalized so that
-the first column is canonical (first nonzero entry positive), keyed by
-that column.  Each suffix then costs one probe per target, and each
-hit solves a_1 in closed form.  The first component is never
-enumerated.
+The last middle digit is solved the same way.  With Z = elem(a_h) * Z'
+and Z' = m_n(a_2..a_(h-1)), Z*e1 = (a_h*z'11 - z'21, z'11), so a probe
+w = (x, y), the signed R*e2 with y > 0, matches exactly the Z' with
+z'11 = y and z'21 = a_h*y - x.  The table holds every Z',
+sign-normalized to z'11 >= 0, bucketed by (z'11, z'21 mod z'11) and
+sorted by z'21, so a probe is one lookup and a bisection over a_h's
+range.  A Z' with z'11 = 0 has z'21 = 1; it matches w = (1, 0) for
+every a_h, as -Z'.  Targets that share their second column up to sign
+share R*e2 up to sign, so each suffix costs one probe per distinct
+column, and each hit solves a_h and then a_1 per target in closed
+form.  Neither a_1 nor a_h is ever enumerated.
 
 Every route records what it finds in one tally per target,
 {(first, last, touched): solutions}, where touched says whether a
@@ -34,7 +40,8 @@ _plan lays out each search.  Pinned components come off both ends as
 a head and a tail, folded into the targets with one matrix product,
 since m_n(head + rest + tail) = m_n(tail) * m_n(rest) * m_n(head); the
 tally keys and listings get them back afterwards.  The split h of the
-rest is then chosen where table and sweep balance.
+rest is then chosen where the table and the probes of the sweep
+balance.
 
 Both the middle table and the suffix sweep walk their boxes with one
 odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
@@ -55,14 +62,17 @@ the usual saturation sanity signal.
 
 import multiprocessing
 import os
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
 
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
 
 _IDENT = (1, 0, 0, 1)
+_ZERO_KEY = 0  # the table key of every Z' with z'11 = 0; other keys are >= 1
 
 
 class ResourceBudgetError(RuntimeError):
@@ -259,87 +269,149 @@ def _summary(tally):
     return count, touches, dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
-def _build_table(lows, highs):
-    """Map canonical Z*e1 -> [(z2, middle tuple), ...] over the middle box.
+def _build_table(lows, highs, bound):
+    """Bucket every product Z' over the table box for the probes of _join.
 
-    Z is sign-normalized so that its first column has a positive first
-    nonzero entry.  Within a bucket the second column is fixed by z2,
-    its entry in the row of that first nonzero entry (det Z = 1).
+    Z' is sign-normalized so that z'11 >= 0.  A Z' with z'11 > 0 is
+    stored as (z'21, z'12, code) under the key of the pair
+    (z'11, z'21 mod z'11), packed into the one int
+    z'11^2 + (z'21 mod z'11): the residue is below z'11, so distinct
+    pairs get distinct keys.  When z'11 = 0, det Z' = 1 makes
+    z'21 = +/-1 and z'12 = -z'21; such a Z', normalized to z'21 = 1, is
+    stored as (1, z'22, code) under _ZERO_KEY.  code is twice the
+    odometer index of the digits, plus one when a digit reaches the
+    bound, so the digits are decoded only for a listing.  Each bucket
+    is a tuple sorted by z'21.
     """
     table = {}
-    for digits, (a, b, c, d) in _iter_products(lows, highs):
+    tget = table.get
+    for index, (digits, (a, b, c, d)) in enumerate(_iter_products(lows, highs)):
+        code = 2 * index + (max(digits) >= bound if digits else 0)
         if a < 0 or (a == 0 and c < 0):
             a, b, c, d = -a, -b, -c, -d
-        table.setdefault((a, c), []).append((b if a else d, tuple(digits)))
+        if a:
+            key, entry = a * a + c % a, (c, b, code)
+        else:
+            key, entry = _ZERO_KEY, (c, d, code)
+        bucket = tget(key)
+        if bucket is None:
+            table[key] = [entry]
+        else:
+            bucket.append(entry)
+    for key, bucket in table.items():
+        table[key] = tuple(sorted(bucket))
     return table
 
 
-def _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list):
-    """Sweep the suffix box against the middle table, solving a_1 per hit.
+def _digits_at(index, lows, highs):
+    """The digits at an odometer index of the box, as _iter_products walks it."""
+    digits = []
+    for lo, hi in zip(reversed(lows), reversed(highs)):
+        index, offset = divmod(index, hi - lo + 1)
+        digits.append(lo + offset)
+    return tuple(reversed(digits))
+
+
+class _Search(NamedTuple):
+    """One mitm search as _plan lays it out; _sweep hands it to every partition."""
+
+    table: dict          # _build_table over table_box
+    groups: list         # _plan's (b, d, members) probe groups
+    targets: int         # number of targets, one tally each
+    first: tuple         # (lo, hi) of a_1
+    table_box: tuple     # (lows, highs) of a_2..a_(h-1)
+    implicit: tuple      # (lo, hi) of a_h
+    sweep_box: tuple     # (lows, highs) of a_(h+1)..a_m
+    bound: int
+    want_list: bool
+
+
+def _join(search, slows, shighs):
+    """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
     Returns (tallies, listings): per target, the tally
     {(first, last, touched): solutions} and the solution tuples, or
     listings None.
     """
-    tallies = [Counter() for _ in target_rows]
-    listings = [[] for _ in target_rows] if want_list else None
-    tget = table.get
-    indexed_rows = list(enumerate(target_rows))
+    tallies = [Counter() for _ in range(search.targets)]
+    listings = [[] for _ in range(search.targets)] if search.want_list else None
+    tget = search.table.get
+    first_lo, first_hi = search.first
+    ah_lo, ah_hi = search.implicit
+    tlows, thighs = search.table_box
+    bound = search.bound
     for digits, (p, q, r, s) in _iter_products(slows, shighs):
-        for ti, (ta, tb, tc, td) in indexed_rows:
-            # R = Suf^-1 * target with Suf^-1 = [[s, -q], [-r, p]]; probe R*e2
-            x = s * tb - q * td
-            y = p * td - r * tb
+        for b, d, members in search.groups:
+            # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]],
+            # signed so that y > 0, or y = 0 and x > 0; Z*e1 = w is needed
+            x = s * b - q * d
+            y = p * d - r * b
             sign = 1
-            if x < 0 or (x == 0 and y < 0):
+            if y < 0 or (y == 0 and x < 0):
                 x, y, sign = -x, -y, -1
-            bucket = tget((x, y))
-            if bucket is None:
-                continue
-            # the match has Z*e1 = sign*R*e2, so a_1*Z*e1 + Z*e2 = -sign*R*e1,
-            # read off in the row of the key's first nonzero entry
-            if x:
-                z1, r1 = x, sign * (q * tc - s * ta)
-            else:
-                z1, r1 = y, sign * (r * ta - p * tc)
-            for z2, mid in bucket:
-                first = (r1 - z2) // z1
-                if first < first_lo or first > first_hi:
+            if y:
+                bucket = tget(y * y + -x % y)  # the key of (y, -x mod y)
+                if bucket is None:
                     continue
-                touched = (max(digits) >= bound or first >= bound
-                           or max(mid, default=0) >= bound)
-                tallies[ti][first, digits[-1], touched] += 1
-                if listings is not None:
-                    listings[ti].append((first,) + mid + tuple(digits))
+                # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the
+                # matches have z'11 = y and z'21 = a_h*y - x, a range of the bucket;
+                # a_1 comes from the second row of a_1*Z*e1 + Z*e2 = -sign*R*e1
+                lo = bisect_left(bucket, (ah_lo * y - x,))
+                hi = bisect_left(bucket, (ah_hi * y - x + 1,))
+                if lo == hi:
+                    continue
+                matches = [((x + z21) // y, z12, code) for z21, z12, code in bucket[lo:hi]]
+                z1, rhs = y, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
+            else:
+                bucket = tget(_ZERO_KEY)
+                if bucket is None:
+                    continue
+                # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
+                # whose Z*e2 = (a_h + z'22, 1); a_1 comes from the first row
+                matches = [(ah, ah + z22, code) for ah in range(ah_lo, ah_hi + 1)
+                           for _, z22, code in bucket]
+                z1, rhs = 1, [(ti, sign * (q * tc - s * ta)) for ti, ta, tc in members]
+            top = max(digits) if digits else 0
+            for ti, r1 in rhs:
+                for ah, z2, code in matches:
+                    first = (r1 - z2) // z1
+                    if first < first_lo or first > first_hi:
+                        continue
+                    touched = code & 1 or ah >= bound or first >= bound or top >= bound
+                    tallies[ti][first, digits[-1] if digits else ah, touched] += 1
+                    if listings is not None:
+                        listings[ti].append((first,) + _digits_at(code >> 1, tlows, thighs)
+                                            + (ah,) + tuple(digits))
     return tallies, listings
 
 
 _WORKER_CTX = None
 
 
-def _join_partition_task(first_value):
-    table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list = _WORKER_CTX
-    slows = list(slows)
-    shighs = list(shighs)
-    slows[0] = shighs[0] = first_value
-    return _join(table, target_rows, slows, shighs, bound, first_lo, first_hi, want_list)
+def _join_partition_task(value):
+    """_join over the sweep with its first digit set to value; an empty sweep is one task."""
+    search = _WORKER_CTX
+    slows, shighs = list(search.sweep_box[0]), list(search.sweep_box[1])
+    if slows:
+        slows[0] = shighs[0] = value
+    return _join(search, slows, shighs)
 
 
-def _sweep(ctx, workers):
+def _sweep(search, workers):
     """Join the suffix sweep one first-digit partition at a time; merged (tallies, listings).
 
     Partitions are independent, so they go to a fork pool of
     min(workers, partitions, os.cpu_count()) processes (children inherit
-    the context, including the middle table, without pickling it).  A
-    pool of one, or a platform without fork, runs them serially.  The
-    merge adds the partitions in ascending order and sorts the listings,
-    which keeps results identical for any worker count.
+    the search, including the table, without pickling it).  A pool of
+    one, or a platform without fork, runs them serially.  The merge adds
+    the partitions in ascending order and sorts the listings, which
+    keeps results identical for any worker count.
     """
     global _WORKER_CTX
-    slows, shighs = ctx[2], ctx[3]
-    values = range(slows[0], shighs[0] + 1)
+    slows, shighs = search.sweep_box
+    values = range(slows[0], shighs[0] + 1) if slows else [None]
     pool_size = min(workers, len(values), os.cpu_count() or 1)
-    _WORKER_CTX = ctx
+    _WORKER_CTX = search
     try:
         if pool_size > 1 and "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(pool_size) as pool:
@@ -360,15 +432,23 @@ def _sweep(ctx, workers):
     return tallies, listings
 
 
-def _plan(size, bound, fixed):
-    """(head, tail, lows, highs, h): the pinned ends peeled off, the rest split.
+def _plan(size, bound, fixed, target_rows):
+    """(head, tail, lows, highs, h, groups): the layout of one mitm search.
 
     Pinned components come off both ends while more than two remain;
-    head and tail hold their values, lows and highs the box left.  The
-    box keeps its first component for the closed form, a middle table
-    over lows[1:h] and a suffix sweep over lows[h:].  h makes the larger
-    of the two as small as possible, then the table, so peeling never
-    enlarges the larger side, and a free box splits in the middle.
+    head and tail hold their values, lows and highs the box left, and
+    each target folds to R = m_n(tail)^-1 * target * m_n(head)^-1.  The
+    folded targets are grouped by their second column up to sign:
+    groups lists (b, d, members), one probe each, where members holds
+    (index, a, c) for every target whose second column is +/-(b, d),
+    with (a, c) its first column under the sign that makes it (b, d).
+
+    The box keeps its first component a_1 and its component a_h
+    (lows[h - 1]) for closed forms, a table over a_2..a_(h-1)
+    (lows[1:h - 1]) and a sweep over the rest (lows[h:]).  h makes the
+    larger of the table size and the sweep size times the number of
+    probes as small as possible, then the table, so a free box of size
+    m with one target takes h = m//2 + 1.
     """
     start, stop = 1, size
     while stop - start > 1 and start in fixed:
@@ -378,12 +458,21 @@ def _plan(size, bound, fixed):
     lows, highs = _box(size, bound, fixed)
     head, tail = tuple(lows[:start - 1]), tuple(lows[stop:])
     lows, highs = lows[start - 1:stop], highs[start - 1:stop]
+    head_inv = m_n(head).inverse() if head else IDENTITY
+    tail_inv = m_n(tail).inverse() if tail else IDENTITY
+    by_column = {}
+    for ti, row in enumerate(target_rows):
+        a, b, c, d = (tail_inv * Mat2(*row) * head_inv).entries()
+        if d < 0 or (d == 0 and b < 0):
+            a, b, c, d = -a, -b, -c, -d
+        by_column.setdefault((b, d), []).append((ti, a, c))
+    groups = [(b, d, members) for (b, d), members in by_column.items()]
 
-    def sides(h):
-        table = _projected(lows[1:h], highs[1:h])
-        return max(table, _projected(lows[h:], highs[h:])), table
+    def cost(h):
+        table = _projected(lows[1:h - 1], highs[1:h - 1])
+        return max(table, len(groups) * _projected(lows[h:], highs[h:])), table
 
-    return head, tail, lows, highs, min(range(1, len(lows)), key=sides)
+    return head, tail, lows, highs, min(range(2, len(lows) + 1), key=cost), groups
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
@@ -393,16 +482,15 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     R = m_n(tail)^-1 * target * m_n(head)^-1; tally keys and listings
     then get the pinned head and tail back.
     """
-    head, tail, lows, highs, h = _plan(size, bound, fixed)
-    _check_budget(_projected(lows[1:h], highs[1:h]), budget, "the middle table")
-    _check_budget(_projected(lows[h:], highs[h:]), budget, "the suffix sweep")
-    head_inv = m_n(head).inverse() if head else IDENTITY
-    tail_inv = m_n(tail).inverse() if tail else IDENTITY
-    rows = [(tail_inv * Mat2(*row) * head_inv).entries() for row in target_rows]
-    table = _build_table(lows[1:h], highs[1:h])
-    ctx = (table, rows, tuple(lows[h:]), tuple(highs[h:]), bound,
-           lows[0], highs[0], want_list)
-    tallies, listings = _sweep(ctx, workers)
+    head, tail, lows, highs, h, groups = _plan(size, bound, fixed, target_rows)
+    table_box = (tuple(lows[1:h - 1]), tuple(highs[1:h - 1]))
+    sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
+    _check_budget(_projected(*table_box), budget, "the middle table")
+    _check_budget(_projected(*sweep_box), budget, "the suffix sweep")
+    search = _Search(_build_table(*table_box, bound), groups, len(target_rows),
+                     (lows[0], highs[0]), table_box, (lows[h - 1], highs[h - 1]), sweep_box,
+                     bound, want_list)
+    tallies, listings = _sweep(search, workers)
     pinned_touch = max(head + tail, default=0) >= bound
     for ti, inner in enumerate(tallies):
         tallies[ti] = Counter()

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import pytest
 
 from quiddity import census, cli, matrices, oracle
@@ -14,6 +17,12 @@ def _summary(res):
     # item lists, so the key order must agree too
     return (res.count, res.bound_touches, list(res.by_last.items()),
             list(res.by_first_last.items()), res.solutions)
+
+
+def _both_routes(target, size, bound, pins):
+    return [_summary(solve(OracleQuery(target=target, size=size, bound=bound, constraints=pins,
+                                       list_solutions=True, method=method)))
+            for method in ("direct", "mitm")]
 
 
 def test_pinned_listings():
@@ -182,10 +191,14 @@ def test_word_literal_and_matrix_targets_agree():
 def test_budget_errors():
     with pytest.raises(ResourceBudgetError):
         solve(OracleQuery(target="Id", size=8, method="direct"))
+    # at size 6 the plan keeps a table of 6^2 and a sweep of 6^2, for one
+    # target and for the four probes of the eight
+    assert solve(OracleQuery(target="Id", size=6, max_table_entries=36)).count == 15
     with pytest.raises(ResourceBudgetError):
-        solve(OracleQuery(target="Id", size=6, max_table_entries=100))
+        solve(OracleQuery(target="Id", size=6, max_table_entries=35))
+    assert survey(6, max_table_entries=36).counts["Id"] == 15
     with pytest.raises(ResourceBudgetError):
-        survey(6, max_table_entries=100)
+        survey(6, max_table_entries=35)
 
 
 def test_counts_stable_when_bound_raised():
@@ -422,10 +435,8 @@ def test_folded_mitm_matches_direct():
                  (None, {2: 1, size: 2}), (None, {1: 2, size - 1: 1})]
         for target in targets:
             for bound, pins in cases:
-                results = [_summary(solve(OracleQuery(
-                    target=target, size=size, bound=bound, constraints=pins,
-                    list_solutions=True, method=method))) for method in ("direct", "mitm")]
-                assert results[0] == results[1], (target, size, bound, pins)
+                direct, mitm = _both_routes(target, size, bound, pins)
+                assert direct == mitm, (target, size, bound, pins)
 
 
 def test_pinned_ends_are_folded(monkeypatch):
@@ -440,42 +451,51 @@ def test_pinned_ends_are_folded(monkeypatch):
 
     monkeypatch.setattr(oracle, "_iter_products", counting)
     # the table comes first, then one sweep per first suffix digit
-    # table over a_3..a_6, sweep over a_7..a_10 (unfolded: a 10^5 sweep)
+    # table over a_3..a_5, a_6 implicit, sweep over a_7..a_10 (unfolded: a
+    # table of 10^4 and a sweep of 10^4)
     assert oracle.count_component_at("Id", 10, 1, 3) == census.series_V(3, 8).coeff(8)
-    assert (yielded[0], sum(yielded[1:])) == (10 ** 4, 10 ** 4)
-    # table over a_3..a_5, sweep over a_6..a_9 (unfolded: 10^4 and 10^4)
+    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
+    # table over a_3..a_5, a_6 implicit, sweep over a_7..a_9
     yielded.clear()
     assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
-    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
-    # peeling a_5 leaves a_1..a_4 with a_2 pinned; splitting that box in
-    # the middle would give a sweep of 25, over this budget, so the split
-    # balances at a table over a_2..a_3 and a sweep over a_4, of 5 each
+    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 3)
+    # peeling a_5 leaves a_1..a_4 with a_2 pinned; a table over nothing
+    # would leave a sweep of 25 over a_3..a_4, over this budget, so the
+    # plan keeps a table over a_2 alone, a_3 implicit and a sweep over a_4
     want = sum(1 for d in _listing("Id", 5).solutions if (d[1], d[4]) == (1, 2))
+    yielded.clear()
     assert solve(OracleQuery(target="Id", size=5, constraints={2: 1, 5: 2},
                              max_table_entries=5)).count == want == 1
+    assert (yielded[0], sum(yielded[1:])) == (1, 5)
     # no end pinned, but the interior pins a_2, a_3 move the balanced split:
-    # table over a_2..a_5, sweep over a_6..a_8 (split in the middle: 8 and 8^4)
+    # table over a_2..a_5, a_6 implicit, sweep over a_7..a_8 (split in the
+    # middle: a table of 8 and a sweep of 8^3)
     yielded.clear()
     assert _pinned_count("Id", 8, {2: 1, 3: 2}) == 22
-    assert (yielded[0], sum(yielded[1:])) == (8 ** 2, 8 ** 3)
+    assert (yielded[0], sum(yielded[1:])) == (8 ** 2, 8 ** 2)
 
 
 def test_plan_never_enlarges_a_side():
-    # every pin set at sizes 2..12, against the unpeeled box split in the middle
+    # every pin set at sizes 2..12, for one target: the planned table and
+    # sweep never exceed the larger side of the unpeeled box split in the
+    # middle without an implicit digit
     bound = 3
+    identity = [matrices.IDENTITY.entries()]
     for size in range(2, 13):
         middle = (size + 1) // 2
         for mask in range(1 << size):
             fixed = {pos: 2 for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
-            head, tail, lows, highs, h = oracle._plan(size, bound, fixed)
-            assert len(lows) >= 2 and 1 <= h < len(lows)
+            head, tail, lows, highs, h, groups = oracle._plan(size, bound, fixed, identity)
+            assert len(lows) >= 2 and 2 <= h <= len(lows)
             assert len(head) + len(lows) + len(tail) == size
+            assert len(groups) == 1
             lows0, highs0 = oracle._box(size, bound, fixed)
             largest = max(oracle._projected(lows0[1:middle], highs0[1:middle]),
                           oracle._projected(lows0[middle:], highs0[middle:]))
-            assert max(oracle._projected(lows[1:h], highs[1:h]),
+            assert max(oracle._projected(lows[1:h - 1], highs[1:h - 1]),
                        oracle._projected(lows[h:], highs[h:])) <= largest, (size, fixed)
-        assert oracle._plan(size, bound, {}) == ((), (), [1] * size, [bound] * size, middle)
+        assert oracle._plan(size, bound, {}, identity)[:5] == (
+            (), (), [1] * size, [bound] * size, size // 2 + 1)
 
 
 def test_folded_solve_is_the_same_for_any_worker_count():
@@ -487,3 +507,109 @@ def test_folded_solve_is_the_same_for_any_worker_count():
                           for workers in (1, 2))
         assert serial == forked, pins
         assert serial.count > 0, pins
+
+
+def test_zero_bucket_matches_minus_z_prime():
+    # pinning a_2 = a_3 = 1 puts Z' = elem(1)*elem(1) = [[0,-1],[1,-1]], whose
+    # z'11 = 0, alone in the table; at size 4 the sweep is empty and a_4 is
+    # implicit, so m_4 = -elem(a_1 + a_4 - 1) is found only by the probe
+    # w = (1, 0) matching -Z', once per a_4
+    identity = [matrices.IDENTITY.entries()]
+    for size in (4, 5):
+        lows, highs, h = oracle._plan(size, size, {2: 1, 3: 1}, identity)[2:5]
+        assert (lows[1:h - 1], highs[1:h - 1], h) == ([1, 1], [1, 1], 4)
+    res = _listing("T^3S", 4, constraints={2: 1, 3: 1}, method="mitm")
+    assert res.solutions == ((1, 1, 1, 3), (2, 1, 1, 2), (3, 1, 1, 1))
+    assert res.by_first_last == {(1, 3): 1, (2, 2): 1, (3, 1): 1}
+    # at size 5 a sweep over a_5 comes on top; every product of the box is
+    # a target, and each must find its own tuple
+    for size, bound in ((4, None), (4, 2), (5, None), (5, 3)):
+        box = [(a, 1, 1) + rest for a in range(1, (bound or size) + 1)
+               for rest in itertools.product(range(1, (bound or size) + 1), repeat=size - 3)]
+        targets = list(matrices.TARGETS) + ["[[2,3],[1,2]]"] + [matrices.m_n(t) for t in box]
+        for target in targets:
+            direct, mitm = _both_routes(target, size, bound, {2: 1, 3: 1})
+            assert direct == mitm, (target, size, bound)
+        for digits in box:
+            assert digits in _listing(matrices.m_n(digits), size, bound, "mitm",
+                                      {2: 1, 3: 1}).solutions
+
+
+def test_pinned_implicit_digit():
+    # peeling leaves a_1 and a pinned a_2, the implicit digit, so each probe
+    # bisects for a single z'21; the pin may sit above the bound
+    identity = [matrices.IDENTITY.entries()]
+    for size, pins in ((2, {2: 1}), (2, {2: 6}), (4, {2: 2, 3: 1, 4: 3}),
+                       (4, {2: 6, 3: 1, 4: 2})):
+        lows, highs, h = oracle._plan(size, 4, pins, identity)[2:5]
+        assert (len(lows), h, lows[1]) == (2, 2, highs[1]) == (2, 2, pins[2])
+        solution = (2,) + tuple(pins[pos] for pos in range(2, size + 1))
+        own = matrices.m_n(solution)
+        for target in [own] + list(matrices.TARGETS) + ["[[2,3],[1,2]]"]:
+            direct, mitm = _both_routes(target, size, 4, pins)
+            assert direct == mitm, (target, size, pins)
+        res = _listing(own, size, 4, "mitm", pins)
+        assert solution in res.solutions
+        assert res.bound_touches == (res.count if pins[2] >= 4 else 0)
+
+
+def test_boxes_of_a_1_and_a_h_alone():
+    # size 2, and size 3 with one end pinned, leave only a_1 and a_h: an
+    # empty table and an empty sweep, whose one suffix is the identity;
+    # every product of the box is a target, and each must find its own tuple
+    identity = [matrices.IDENTITY.entries()]
+    for size, bound, pins in ((2, None, {}), (2, 4, {}), (3, None, {1: 2}), (3, None, {3: 1}),
+                              (3, 2, {1: 3}), (3, 4, {3: 4})):
+        lows, highs, h = oracle._plan(size, bound or size, pins, identity)[2:5]
+        assert (len(lows), h) == (2, 2)
+        box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(
+            *oracle._box(size, bound or size, pins)))))
+        targets = list(matrices.TARGETS) + ["S^-1", "[[2,3],[1,2]]"]
+        for target in targets + [matrices.m_n(t) for t in box]:
+            direct, mitm = _both_routes(target, size, bound, pins)
+            assert direct == mitm, (target, size, bound, pins)
+        for digits in box:
+            assert digits in _listing(matrices.m_n(digits), size, bound, "mitm", pins).solutions
+
+
+def test_probe_sign_is_chosen_on_the_second_entry():
+    # a probe signed by its first entry, not its second, lost this solution
+    res = _listing("Id", 7, method="mitm")
+    assert (1, 2, 1, 1, 1, 1, 2) in res.solutions
+    assert res.count == census.count_solutions("Id", 7) == 49
+
+
+def test_survey_probes_once_per_target_column(monkeypatch):
+    # up to sign the eight targets have four second columns, (0,1), (1,0),
+    # (1,1) and (1,-1), so each suffix costs four table lookups, not eight
+    lookups = []
+
+    class CountingTable(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    real = oracle._build_table
+    monkeypatch.setattr(oracle, "_build_table", lambda *args: CountingTable(real(*args)))
+    rows = [mat.entries() for mat in matrices.TARGETS.values()]
+    groups = oracle._plan(8, 8, {}, rows)[5]
+    assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
+    sv = survey(8)
+    # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes
+    assert len(lookups) == 4 * 8 ** 3
+    assert sv.counts == {name: census.count_solutions(name, 8) for name in matrices.TARGETS}
+
+
+def test_table_memory_per_entry():
+    # 349 B/entry is what entries holding their digit tuples took on the
+    # 12^5 box; every bucket of this box holds one entry, the costliest
+    # case per entry, and the build's peak must stay under that here too
+    lows, highs = [7] * 5, [12] * 5
+    tracemalloc.start()
+    try:
+        table = oracle._build_table(lows, highs, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, table.values())) == 6 ** 5
+    assert peak / 6 ** 5 <= 349
