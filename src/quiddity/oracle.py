@@ -43,15 +43,16 @@ tally keys and listings get them back afterwards.  The split h of the
 rest is then chosen where the table and the probes of the sweep
 balance.
 
-Both the middle table and the suffix sweep walk their boxes with one
-odometer, _iter_products.  Since elem(a + 1) = elem(a) + E11, stepping
-its innermost digit is a single row addition on the running product.
+Every route walks its box with one odometer, _iter_runs, which yields
+each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
+each step along a run adds the second row of the product to its first.
 _sweep partitions the suffix sweep by its first digit, runs the
 partitions in a fork pool capped at the CPU count, and merges them.
 
 The direct route, the reference the join is checked against, shares
-no search code with the join: it enumerates every tuple of the box once
-and looks each product up among all targets and their negations.
+no search code with the join: it looks each product of the box up among
+all targets and their negations, skipping runs whose second row, which
+every product of the run shares, is no target's up to sign.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
@@ -151,25 +152,24 @@ class SurveyResult:
     exhaustive_within_bound: dict
 
 
-def _iter_products(lows, highs):
-    """Yield (digits, product) over a digit box in ascending lexicographic order.
+def _iter_runs(lows, highs):
+    """Yield (digits, (r, s, x, y)) per run of the innermost digit, in lexicographic order.
 
-    digits is one live list, updated in place between steps: a caller
-    that keeps it must copy it.  The product is m_n(digits) as an entry
-    4-tuple.  elem(a + 1) = elem(a) + E11, so stepping the innermost
-    digit adds the second row of the product to its first,
-    (p, q, r, s) -> (p + r, q + s, r, s); any other odometer step
-    rebuilds only the levels to the right of the digit that moved.
+    (r, s, x, y) is the product over digits[:-1], so the run's products
+    are m_n(digits[:-1] + [a]) = (a*r - x, a*s - y, r, s) for a in
+    lows[-1]..highs[-1].  digits is one live list whose innermost entry
+    stays lows[-1]: a caller that keeps it must copy it.  A step rebuilds
+    only the levels right of the digit that moved.  The empty box is one
+    run, [] with elem(0)^-1 = (0, 1, -1, 0), whose one product is the
+    identity at a = 0.
     """
     length = len(lows)
     if length == 0:
-        yield [], _IDENT
+        yield [], (0, 1, -1, 0)
         return
     digits = list(lows)
     last = length - 1
-    last_lo, last_hi = lows[last], highs[last]
-    # mats[j] is the product over digits[:j + 1]; the innermost level is
-    # kept in local variables instead
+    # mats[j] is the product over digits[:j + 1]
     mats = [None] * last
     i = 0
     while True:
@@ -179,14 +179,7 @@ def _iter_products(lows, highs):
             p, q, r, s = prev
             prev = (a * p - r, a * q - s, p, q)
             mats[j] = prev
-        # elem(a) * prev has first row a*(r, s) - (x, y) and second row (r, s)
-        r, s, x, y = prev
-        p, q = last_lo * r - x, last_lo * s - y
-        for a in range(last_lo, last_hi + 1):
-            digits[last] = a
-            yield digits, (p, q, r, s)
-            p += r
-            q += s
+        yield digits, prev
         i = last - 1
         while i >= 0 and digits[i] >= highs[i]:
             digits[i] = lows[i]
@@ -281,30 +274,38 @@ def _build_table(lows, highs, bound):
     stored as (1, z'22, code) under _ZERO_KEY.  code is twice the
     odometer index of the digits, plus one when a digit reaches the
     bound, so the digits are decoded only for a listing.  Each bucket
-    is a tuple sorted by z'21.
+    is a tuple sorted by z'21.  The bound test of all digits but the
+    innermost is made once per run of _iter_runs.
     """
     table = {}
     tget = table.get
-    for index, (digits, (a, b, c, d)) in enumerate(_iter_products(lows, highs)):
-        code = 2 * index + (max(digits) >= bound if digits else 0)
-        if a < 0 or (a == 0 and c < 0):
-            a, b, c, d = -a, -b, -c, -d
-        if a:
-            key, entry = a * a + c % a, (c, b, code)
-        else:
-            key, entry = _ZERO_KEY, (c, d, code)
-        bucket = tget(key)
-        if bucket is None:
-            table[key] = [entry]
-        else:
-            bucket.append(entry)
+    lo, hi = (lows[-1], highs[-1]) if lows else (0, 0)
+    index = 0
+    for digits, (r, s, x, y) in _iter_runs(lows, highs):
+        outer = max(digits[:-1], default=0) >= bound
+        p, q = lo * r - x, lo * s - y
+        for digit in range(lo, hi + 1):
+            code = 2 * index + (outer or digit >= bound)
+            index += 1
+            a, b, c, d = (p, q, r, s) if p > 0 or (p == 0 and r > 0) else (-p, -q, -r, -s)
+            p += r
+            q += s
+            if a:
+                key, entry = a * a + c % a, (c, b, code)
+            else:
+                key, entry = _ZERO_KEY, (c, d, code)
+            bucket = tget(key)
+            if bucket is None:
+                table[key] = [entry]
+            else:
+                bucket.append(entry)
     for key, bucket in table.items():
         table[key] = tuple(sorted(bucket))
     return table
 
 
 def _digits_at(index, lows, highs):
-    """The digits at an odometer index of the box, as _iter_products walks it."""
+    """The digits at an odometer index of the box, counting every tuple of _iter_runs's runs."""
     digits = []
     for lo, hi in zip(reversed(lows), reversed(highs)):
         index, offset = divmod(index, hi - lo + 1)
@@ -340,48 +341,57 @@ def _join(search, slows, shighs):
     ah_lo, ah_hi = search.implicit
     tlows, thighs = search.table_box
     bound = search.bound
-    for digits, (p, q, r, s) in _iter_products(slows, shighs):
-        for b, d, members in search.groups:
-            # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]],
-            # signed so that y > 0, or y = 0 and x > 0; Z*e1 = w is needed
-            x = s * b - q * d
-            y = p * d - r * b
-            sign = 1
-            if y < 0 or (y == 0 and x < 0):
-                x, y, sign = -x, -y, -1
-            if y:
-                bucket = tget(y * y + -x % y)  # the key of (y, -x mod y)
-                if bucket is None:
-                    continue
-                # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the
-                # matches have z'11 = y and z'21 = a_h*y - x, a range of the bucket;
-                # a_1 comes from the second row of a_1*Z*e1 + Z*e2 = -sign*R*e1
-                lo = bisect_left(bucket, (ah_lo * y - x,))
-                hi = bisect_left(bucket, (ah_hi * y - x + 1,))
-                if lo == hi:
-                    continue
-                matches = [((x + z21) // y, z12, code) for z21, z12, code in bucket[lo:hi]]
-                z1, rhs = y, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
-            else:
-                bucket = tget(_ZERO_KEY)
-                if bucket is None:
-                    continue
-                # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
-                # whose Z*e2 = (a_h + z'22, 1); a_1 comes from the first row
-                matches = [(ah, ah + z22, code) for ah in range(ah_lo, ah_hi + 1)
-                           for _, z22, code in bucket]
-                z1, rhs = 1, [(ti, sign * (q * tc - s * ta)) for ti, ta, tc in members]
-            top = max(digits) if digits else 0
-            for ti, r1 in rhs:
-                for ah, z2, code in matches:
-                    first = (r1 - z2) // z1
-                    if first < first_lo or first > first_hi:
+    groups = search.groups
+    slo, shi = (slows[-1], shighs[-1]) if slows else (0, 0)
+    for digits, (r, s, u, v) in _iter_runs(slows, shighs):
+        # the run's suffixes are (last*r - u, last*s - v, r, s)
+        top = max(digits[:-1], default=0)
+        p, q = slo * r - u, slo * s - v
+        for last in range(slo, shi + 1):
+            for b, d, members in groups:
+                # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]],
+                # signed so that y > 0, or y = 0 and x > 0; Z*e1 = w is needed
+                x = s * b - q * d
+                y = p * d - r * b
+                sign = 1
+                if y < 0 or (y == 0 and x < 0):
+                    x, y, sign = -x, -y, -1
+                if y:
+                    bucket = tget(y * y + -x % y)  # the key of (y, -x mod y)
+                    if bucket is None:
                         continue
-                    touched = code & 1 or ah >= bound or first >= bound or top >= bound
-                    tallies[ti][first, digits[-1] if digits else ah, touched] += 1
-                    if listings is not None:
-                        listings[ti].append((first,) + _digits_at(code >> 1, tlows, thighs)
-                                            + (ah,) + tuple(digits))
+                    # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the
+                    # matches have z'11 = y and z'21 = a_h*y - x, a range of the bucket;
+                    # a_1 comes from the second row of a_1*Z*e1 + Z*e2 = -sign*R*e1
+                    lo = bisect_left(bucket, (ah_lo * y - x,))
+                    hi = bisect_left(bucket, (ah_hi * y - x + 1,))
+                    if lo == hi:
+                        continue
+                    matches = [((x + z21) // y, z12, code) for z21, z12, code in bucket[lo:hi]]
+                    z1, rhs = y, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
+                else:
+                    bucket = tget(_ZERO_KEY)
+                    if bucket is None:
+                        continue
+                    # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
+                    # whose Z*e2 = (a_h + z'22, 1); a_1 comes from the first row
+                    matches = [(ah, ah + z22, code) for ah in range(ah_lo, ah_hi + 1)
+                               for _, z22, code in bucket]
+                    z1, rhs = 1, [(ti, sign * (q * tc - s * ta)) for ti, ta, tc in members]
+                for ti, r1 in rhs:
+                    for ah, z2, code in matches:
+                        first = (r1 - z2) // z1
+                        if first < first_lo or first > first_hi:
+                            continue
+                        touched = code & 1 or max(first, ah, top, last) >= bound
+                        # last = 0 only in the empty sweep's run, where a_h is the last digit
+                        tallies[ti][first, last or ah, touched] += 1
+                        if listings is not None:
+                            suffix = (*digits[:-1], last) if last else ()
+                            listings[ti].append((first, *_digits_at(code >> 1, tlows, thighs),
+                                                 ah, *suffix))
+            p += r
+            q += s
     return tallies, listings
 
 
@@ -505,28 +515,37 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
 def _solve_direct(target_rows, lows, highs, bound, want_list):
     """Plain full enumeration; the reference the join is checked against.
 
-    One walk over every tuple of the box serves all targets: each
-    product is looked up in a dict from the target entry rows and their
-    negations to target indices, so targets equal up to sign are all
-    credited.  Returns (tallies, listings) like _sweep, with the
-    solutions in ascending order.
+    One walk over the box serves all targets: each product is looked up
+    in a dict from the target entry rows and their negations to target
+    indices, so targets equal up to sign are all credited.  The walk
+    goes one run of the innermost digit at a time, and every product of
+    a run has the run's second row, so a run whose second row is no
+    target's, up to sign, holds no solution and is skipped whole.
+    Returns (tallies, listings) like _sweep, with the solutions in
+    ascending order.
     """
     hits = {}
     for ti, entries in enumerate(target_rows):
         for key in {entries, tuple(-e for e in entries)}:
             hits.setdefault(key, []).append(ti)
+    second_rows = {key[2:] for key in hits}
     tallies = [Counter() for _ in target_rows]
     listings = [[] for _ in target_rows] if want_list else None
     hget = hits.get
-    for digits, mat in _iter_products(lows, highs):
-        matched = hget(mat)
-        if matched is None:
+    lo, hi = lows[-1], highs[-1]
+    for digits, (r, s, x, y) in _iter_runs(lows, highs):
+        if (r, s) not in second_rows:
             continue
-        key = (digits[0], digits[-1], max(digits) >= bound)
-        for ti in matched:
-            tallies[ti][key] += 1
-            if listings is not None:
-                listings[ti].append(tuple(digits))
+        for a in range(lo, hi + 1):
+            matched = hget((a * r - x, a * s - y, r, s))
+            if matched is None:
+                continue
+            found = (*digits[:-1], a)
+            key = (found[0], a, max(found) >= bound)
+            for ti in matched:
+                tallies[ti][key] += 1
+                if listings is not None:
+                    listings[ti].append(found)
     return tallies, listings
 
 

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -176,6 +177,15 @@ def test_bound_touch_reporting():
     ts1 = solve(OracleQuery(target="TS", size=1))
     assert (ts1.count, ts1.bound_touches) == (1, 1)
     assert solve(OracleQuery(target="Id", size=5)).bound_touches == 0
+
+
+def test_touches_in_outer_sweep_digits():
+    # under a lowered bound a touch may sit in any digit: in a sweep of
+    # three digits, also in one that is not the innermost
+    for size in (7, 8):
+        direct, mitm = _both_routes("Id", size, 3, {})
+        assert direct == mitm, size
+        assert 0 < mitm[1] < mitm[0], size
 
 
 def test_word_literal_and_matrix_targets_agree():
@@ -364,18 +374,23 @@ def test_mitm_listings_are_re_verified(monkeypatch):
     assert str(err.value) == "internal error: (2, 2, 2, 2, 2, 2) fails re-verification"
 
 
-def test_iter_products_odometer():
+def test_iter_runs_odometer():
     # boxes of length 0 and 1, the innermost digit pinned, a pinned middle
-    # digit, and a pinned digit above the bound
+    # digit, and a pinned digit above the bound; the empty box is one run
+    # at a = 0 whose product is the identity
     boxes = [([], []), ([1], [4]), ([3], [3]), ([1, 1, 2], [3, 3, 2]),
              ([1, 2, 1], [3, 2, 3]), ([1, 1, 5, 1], [2, 2, 5, 2]),
              ([7, 1, 1], [7, 3, 3])]
     for lows, highs in boxes:
+        inner_lo, inner_hi = (lows[-1], highs[-1]) if lows else (0, 0)
         seen = []
-        for digits, product in oracle._iter_products(lows, highs):
-            expected = matrices.m_n(digits) if digits else matrices.IDENTITY
-            assert product == expected.entries(), (lows, highs, digits)
-            seen.append(tuple(digits))
+        for digits, (r, s, x, y) in oracle._iter_runs(lows, highs):
+            assert len(digits) == len(lows), (lows, highs)
+            for a in range(inner_lo, inner_hi + 1):
+                found = (*digits[:-1], a) if lows else ()
+                expected = matrices.m_n(found) if found else matrices.IDENTITY
+                assert (a * r - x, a * s - y, r, s) == expected.entries(), (lows, highs, found)
+                seen.append(found)
         box = [()]
         for lo, hi in zip(lows, highs):
             box = [t + (a,) for t in box for a in range(lo, hi + 1)]
@@ -440,16 +455,18 @@ def test_folded_mitm_matches_direct():
 
 
 def test_pinned_ends_are_folded(monkeypatch):
+    # counts the tuples of each walk as the sum of its run widths
     yielded = []
-    real = oracle._iter_products
+    real = oracle._iter_runs
 
     def counting(lows, highs):
         yielded.append(0)
-        for step in real(lows, highs):
-            yielded[-1] += 1
-            yield step
+        width = highs[-1] - lows[-1] + 1 if lows else 1
+        for run in real(lows, highs):
+            yielded[-1] += width
+            yield run
 
-    monkeypatch.setattr(oracle, "_iter_products", counting)
+    monkeypatch.setattr(oracle, "_iter_runs", counting)
     # the table comes first, then one sweep per first suffix digit
     # table over a_3..a_5, a_6 implicit, sweep over a_7..a_10 (unfolded: a
     # table of 10^4 and a sweep of 10^4)
@@ -613,3 +630,70 @@ def test_table_memory_per_entry():
         tracemalloc.stop()
     assert sum(map(len, table.values())) == 6 ** 5
     assert peak / 6 ** 5 <= 349
+
+
+def test_direct_route_matches_naive_enumeration():
+    # no pin or one pin, at 1 or above the bound; a direct route that
+    # skipped runs by their first row, or dropped the negated second rows,
+    # loses solutions here
+    targets = list(matrices.TARGETS) + ["[[-1,0],[0,-1]]", "[[2,3],[1,2]]", "[[1,2],[0,1]]"]
+    mats = [matrices.parse_target(t) for t in targets]
+    solves = 0
+    for size in range(1, 6):
+        for bound in (2, 3, size + 1):
+            pin_sets = [{}] + [{pos: value} for pos in range(1, size + 1)
+                               for value in (1, bound + 1)]
+            for pins in pin_sets:
+                lows, highs = oracle._box(size, bound, pins)
+                box = [(t, matrices.m_n(t)) for t in itertools.product(
+                    *(range(lo, hi + 1) for lo, hi in zip(lows, highs)))]
+                for target, mat in zip(targets, mats):
+                    found = [t for t, product in box if matrices.equal_up_to_sign(product, mat)]
+                    res = solve(OracleQuery(target=target, size=size, bound=bound,
+                                            constraints=pins, list_solutions=True,
+                                            method="direct"))
+                    assert res.solutions == tuple(found), (target, size, bound, pins)
+                    assert res.count == len(found)
+                    assert res.bound_touches == sum(max(t) >= bound for t in found)
+                    assert res.by_first_last == Counter((t[0], t[-1]) for t in found)
+                    assert res.by_last == Counter(t[-1] for t in found)
+                    solves += 1
+    assert solves == 1155
+
+
+def test_table_touched_bits_per_run():
+    # only the innermost digit reaches the bound, then only an outer one,
+    # then a pinned innermost digit above it; every code decodes to its
+    # own digits, with the touched bit set exactly when one reaches it
+    for lows, highs, bound in (([1, 1], [2, 3], 3), ([1, 1], [3, 2], 3),
+                               ([1, 1, 1], [2, 3, 2], 3), ([1, 5], [2, 5], 3)):
+        table = oracle._build_table(lows, highs, bound)
+        box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
+        codes = sorted(code for bucket in table.values() for _, _, code in bucket)
+        assert [code >> 1 for code in codes] == list(range(len(box)))
+        for key, bucket in table.items():
+            for z21, second, code in bucket:
+                digits = oracle._digits_at(code >> 1, lows, highs)
+                assert digits == box[code >> 1]
+                assert code & 1 == (max(digits) >= bound), (lows, highs, digits)
+                a, b, c, d = matrices.m_n(digits).entries()
+                if a < 0 or (a == 0 and c < 0):
+                    a, b, c, d = -a, -b, -c, -d
+                assert (key, z21, second) == ((a * a + c % a, c, b) if a else (0, c, d)), digits
+
+
+def test_one_digit_sweep_is_the_same_for_any_worker_count():
+    # at size 4 the sweep is a_4 alone, so every fork partition is one run
+    # of width 1; both worker counts must agree with the direct route
+    identity = [matrices.IDENTITY.entries()]
+    lows, highs, h = oracle._plan(4, 4, {}, identity)[2:5]
+    assert (h, lows[h:]) == (3, [1])
+    direct = survey(4, method="direct")
+    for workers in (1, 2):
+        assert survey(4, method="mitm", workers=workers) == direct
+    for target in ("Id", "T", "[[2,3],[1,2]]"):
+        serial, forked = (solve(OracleQuery(target=target, size=4, bound=5, list_solutions=True,
+                                            method="mitm", workers=workers))
+                          for workers in (1, 2))
+        assert serial == forked
+        assert _both_routes(target, 4, 5, {}) == [_summary(serial)] * 2
