@@ -20,13 +20,13 @@ The last middle digit is solved the same way.  With Z = elem(a_h) * Z'
 and Z' = m_n(a_2..a_(h-1)), Z*e1 = (a_h*z'11 - z'21, z'11), so a probe
 w = (x, y), the signed R*e2 with y > 0, matches exactly the Z' with
 z'11 = y and z'21 = a_h*y - x.  The table holds every Z',
-sign-normalized to z'11 >= 0, bucketed by (z'11, z'21 mod z'11) and
-sorted by z'21, so a probe is one lookup and a bisection over a_h's
-range.  A Z' with z'11 = 0 has z'21 = 1; it matches w = (1, 0) for
-every a_h, as -Z'.  Targets that share their second column up to sign
-share R*e2 up to sign, so each suffix costs one probe per distinct
-column, and each hit solves a_h and then a_1 per target in closed
-form.  Neither a_1 nor a_h is ever enumerated.
+sign-normalized to z'11 >= 0, in tuple buckets keyed by
+(z'11, z'21 mod z'11) and sorted by z'21, so a probe is one lookup and
+a bisection over a_h's range.  A Z' with z'11 = 0 has z'21 = 1; it
+matches w = (1, 0) for every a_h, as -Z'.  Targets that share their
+second column up to sign share R*e2 up to sign, so each suffix costs
+one probe per distinct column, and each hit solves a_h and then a_1
+per target in closed form.  Neither a_1 nor a_h is ever enumerated.
 
 Every route records what it finds in one tally per target,
 {(first, last, touched): solutions}, where touched says whether a
@@ -45,9 +45,10 @@ balance.
 
 Every route walks its box with one odometer, _iter_runs, which yields
 each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
-each step along a run adds the second row of the product to its first.
-_sweep partitions the suffix sweep by its first digit, runs the
-partitions in a fork pool capped at the CPU count, and merges them.
+each step along a run adds the second row of the product to its first,
+and a fixed vector to each probe of _join.  _sweep partitions the suffix
+sweep by its first digit, runs the partitions in a fork pool capped at
+the CPU count, and merges them.
 
 The direct route, the reference the join is checked against, shares
 no search code with the join: it looks each product of the box up among
@@ -72,7 +73,6 @@ from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m
 
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
 
-_IDENT = (1, 0, 0, 1)
 _ZERO_KEY = 0  # the table key of every Z' with z'11 = 0; other keys are >= 1
 
 
@@ -173,7 +173,7 @@ def _iter_runs(lows, highs):
     mats = [None] * last
     i = 0
     while True:
-        prev = mats[i - 1] if i > 0 else _IDENT
+        prev = mats[i - 1] if i > 0 else (1, 0, 0, 1)
         for j in range(i, last):
             a = digits[j]
             p, q, r, s = prev
@@ -252,55 +252,61 @@ def _summary(tally):
     The histograms get sorted keys, so no traversal order leaks out.
     """
     count = touches = 0
-    by_last = {}
-    by_first_last = {}
+    by_last, by_first_last = Counter(), Counter()
     for (first, last, touched), solutions in tally.items():
         count += solutions
         touches += solutions if touched else 0
-        by_last[last] = by_last.get(last, 0) + solutions
-        by_first_last[first, last] = by_first_last.get((first, last), 0) + solutions
+        by_last[last] += solutions
+        by_first_last[first, last] += solutions
     return count, touches, dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
 def _build_table(lows, highs, bound):
     """Bucket every product Z' over the table box for the probes of _join.
 
-    Z' is sign-normalized so that z'11 >= 0.  A Z' with z'11 > 0 is
-    stored as (z'21, z'12, code) under the key of the pair
-    (z'11, z'21 mod z'11), packed into the one int
-    z'11^2 + (z'21 mod z'11): the residue is below z'11, so distinct
-    pairs get distinct keys.  When z'11 = 0, det Z' = 1 makes
-    z'21 = +/-1 and z'12 = -z'21; such a Z', normalized to z'21 = 1, is
-    stored as (1, z'22, code) under _ZERO_KEY.  code is twice the
-    odometer index of the digits, plus one when a digit reaches the
-    bound, so the digits are decoded only for a listing.  Each bucket
-    is a tuple sorted by z'21.  The bound test of all digits but the
-    innermost is made once per run of _iter_runs.
+    Z' = (p, q, r, s) is sign-normalized so that z'11 >= 0.  With p > 0
+    it is stored as (r, q, code) under the key of the pair (p, r mod p),
+    packed into the one int p^2 + (r mod p): the residue is below p, so
+    distinct pairs get distinct keys.  With p < 0, -Z' is stored as
+    (-r, -q, code) under its key p^2 - (r mod p), and no -Z' is built.
+    With p = 0, det Z' = 1 makes r = +/-1 and q = -r, and Z' normalized
+    to r = 1 is stored as (1, r*s, code) under _ZERO_KEY.  code is twice
+    the odometer index of the digits, plus one when a digit reaches the
+    bound (tested once per run for all digits but the innermost), so the
+    digits are decoded only for a listing.  Each bucket is a tuple sorted
+    by z'21.  Most keys hold one entry, so a bucket starts as a 1-tuple;
+    a key's second entry turns it into a list and records the key, and
+    only the recorded keys are sorted into tuples at the end.
     """
     table = {}
     tget = table.get
+    grown = []
     lo, hi = (lows[-1], highs[-1]) if lows else (0, 0)
-    index = 0
+    code = 0
     for digits, (r, s, x, y) in _iter_runs(lows, highs):
         outer = max(digits[:-1], default=0) >= bound
         p, q = lo * r - x, lo * s - y
         for digit in range(lo, hi + 1):
-            code = 2 * index + (outer or digit >= bound)
-            index += 1
-            a, b, c, d = (p, q, r, s) if p > 0 or (p == 0 and r > 0) else (-p, -q, -r, -s)
+            touched = outer or digit >= bound
+            if p > 0:
+                key, entry = p * p + r % p, (r, q, code + touched)
+            elif p:
+                key, entry = p * p - r % p, (-r, -q, code + touched)
+            else:
+                key, entry = _ZERO_KEY, (1, s * r, code + touched)
+            code += 2
             p += r
             q += s
-            if a:
-                key, entry = a * a + c % a, (c, b, code)
-            else:
-                key, entry = _ZERO_KEY, (c, d, code)
             bucket = tget(key)
             if bucket is None:
-                table[key] = [entry]
+                table[key] = (entry,)
+            elif bucket.__class__ is tuple:
+                table[key] = [*bucket, entry]
+                grown.append(key)
             else:
                 bucket.append(entry)
-    for key, bucket in table.items():
-        table[key] = tuple(sorted(bucket))
+    for key in grown:
+        table[key] = tuple(sorted(table[key]))
     return table
 
 
@@ -330,49 +336,44 @@ class _Search(NamedTuple):
 def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
-    Returns (tallies, listings): per target, the tally
-    {(first, last, touched): solutions} and the solution tuples, or
-    listings None.
+    Each probe group steps its probe along every run of suffixes and
+    signs it only on a hit.  Returns (tallies, listings): per target,
+    the tally {(first, last, touched): solutions} and the solution
+    tuples, or listings None.
     """
     tallies = [Counter() for _ in range(search.targets)]
     listings = [[] for _ in range(search.targets)] if search.want_list else None
     tget = search.table.get
     first_lo, first_hi = search.first
     ah_lo, ah_hi = search.implicit
-    tlows, thighs = search.table_box
-    bound = search.bound
-    groups = search.groups
     slo, shi = (slows[-1], shighs[-1]) if slows else (0, 0)
     for digits, (r, s, u, v) in _iter_runs(slows, shighs):
         # the run's suffixes are (last*r - u, last*s - v, r, s)
-        top = max(digits[:-1], default=0)
-        p, q = slo * r - u, slo * s - v
-        for last in range(slo, shi + 1):
-            for b, d, members in groups:
-                # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]],
-                # signed so that y > 0, or y = 0 and x > 0; Z*e1 = w is needed
-                x = s * b - q * d
-                y = p * d - r * b
-                sign = 1
-                if y < 0 or (y == 0 and x < 0):
-                    x, y, sign = -x, -y, -1
-                if y:
-                    bucket = tget(y * y + -x % y)  # the key of (y, -x mod y)
-                    if bucket is None:
-                        continue
-                    # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the
-                    # matches have z'11 = y and z'21 = a_h*y - x, a range of the bucket;
+        for b, d, members in search.groups:
+            # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]] is
+            # (x, y) = (s*b + v*d - last*s*d, last*r*d - u*d - r*b) along the run;
+            # it starts one step before slo, and each step adds (-s*d, r*d)
+            dx, dy = -s * d, r * d
+            x, y = s * b + v * d + (slo - 1) * dx, (slo - 1) * dy - u * d - r * b
+            for last in range(slo, shi + 1):
+                x += dx
+                y += dy
+                # y^2 + |-x mod y| is the key of w signed so that y > 0, whatever y's sign
+                bucket = tget(y * y + abs(-x % y) if y else _ZERO_KEY)
+                if bucket is None:
+                    continue
+                # Z*e1 = (wx, wy) is needed, w signed so that wy > 0, or wy = 0 and wx > 0
+                sign = 1 if y > 0 or (y == 0 and x > 0) else -1
+                p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
+                if wy:
+                    # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the matches
+                    # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket;
                     # a_1 comes from the second row of a_1*Z*e1 + Z*e2 = -sign*R*e1
-                    lo = bisect_left(bucket, (ah_lo * y - x,))
-                    hi = bisect_left(bucket, (ah_hi * y - x + 1,))
-                    if lo == hi:
-                        continue
-                    matches = [((x + z21) // y, z12, code) for z21, z12, code in bucket[lo:hi]]
-                    z1, rhs = y, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
+                    lo = bisect_left(bucket, (ah_lo * wy - wx,))
+                    hi = bisect_left(bucket, (ah_hi * wy - wx + 1,))
+                    matches = [((wx + z21) // wy, z12, code) for z21, z12, code in bucket[lo:hi]]
+                    z1, rhs = wy, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
                 else:
-                    bucket = tget(_ZERO_KEY)
-                    if bucket is None:
-                        continue
                     # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
                     # whose Z*e2 = (a_h + z'22, 1); a_1 comes from the first row
                     matches = [(ah, ah + z22, code) for ah in range(ah_lo, ah_hi + 1)
@@ -383,15 +384,13 @@ def _join(search, slows, shighs):
                         first = (r1 - z2) // z1
                         if first < first_lo or first > first_hi:
                             continue
-                        touched = code & 1 or max(first, ah, top, last) >= bound
+                        touched = code & 1 or max(first, ah, last, *digits[:-1]) >= search.bound
                         # last = 0 only in the empty sweep's run, where a_h is the last digit
                         tallies[ti][first, last or ah, touched] += 1
                         if listings is not None:
                             suffix = (*digits[:-1], last) if last else ()
-                            listings[ti].append((first, *_digits_at(code >> 1, tlows, thighs),
+                            listings[ti].append((first, *_digits_at(code >> 1, *search.table_box),
                                                  ah, *suffix))
-            p += r
-            q += s
     return tallies, listings
 
 
@@ -434,9 +433,8 @@ def _sweep(search, workers):
     for part_tallies, part_listings in parts[1:]:
         for tally, part in zip(tallies, part_tallies):
             tally.update(part)
-        if listings is not None:
-            for listed, part in zip(listings, part_listings):
-                listed.extend(part)
+        for listed, part in zip(listings or (), part_listings or ()):
+            listed.extend(part)
     for listed in listings or ():
         listed.sort()
     return tallies, listings

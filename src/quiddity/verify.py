@@ -278,10 +278,12 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
 
 
 def run_verify(max_size=ORACLE_MAX_SIZE, order=IDENTITY_ORDER, workers=1):
-    """Run every check group in order; returns the combined report."""
+    """Run every check group in order; returns the combined report (max_size 0: no oracle group)."""
+    if max_size < 0:
+        raise ValueError(f"max size must be nonnegative, got {max_size}")
     report = VerifyReport()
     golden_checks(report)
     identity_checks(report, order=order)
-    if max_size >= 1:
+    if max_size:
         oracle_checks(report, max_size=max_size, workers=workers)
     return report

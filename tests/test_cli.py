@@ -139,6 +139,15 @@ def test_verify_order_below_3_exits_2(capsys):
         assert err == "error: identity order must be at least 3\n"
 
 
+def test_verify_max_size_zero_skips_the_oracle_and_negative_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--max-size", "-3", "--order", "8")
+    assert (code, out, err) == (2, "", "error: max size must be nonnegative, got -3\n")
+    code, out, err = run_cli(capsys, "verify", "--max-size", "0", "--order", "8")
+    assert (code, err) == (0, "")
+    checks = [line.split(",")[0] for line in out.splitlines()[1:]]
+    assert checks and not any(check.startswith("oracle:") for check in checks)
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "oracle", "--help")[0] == 0

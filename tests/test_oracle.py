@@ -697,3 +697,58 @@ def test_one_digit_sweep_is_the_same_for_any_worker_count():
                           for workers in (1, 2))
         assert serial == forked
         assert _both_routes(target, 4, 5, {}) == [_summary(serial)] * 2
+
+
+def _naive_table(lows, highs, bound):
+    # every product over the box, one at a time: sign-normalized to z'11 > 0, or
+    # z'11 = 0 and z'21 > 0, keyed by (z'11, z'21 mod z'11), buckets sorted
+    table = {}
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+    for index, digits in enumerate(box):
+        a, b, c, d = (matrices.m_n(digits) if digits else matrices.IDENTITY).entries()
+        if a < 0 or (a == 0 and c < 0):
+            a, b, c, d = -a, -b, -c, -d
+        key, entry = (a * a + c % a, (c, b)) if a else (0, (c, d))
+        code = 2 * index + (max(digits, default=0) >= bound)
+        table.setdefault(key, []).append((*entry, code))
+    return {key: tuple(sorted(bucket)) for key, bucket in table.items()}
+
+
+def test_table_matches_naive_build():
+    # the empty box, pinned digits above the bound (innermost and outer), runs
+    # whose z'11 changes sign with z'11 = 0 entries among them, and a bound-2
+    # box of 2^14 entries whose buckets hold hundreds of them
+    runs = [[a * r - x for a in range(1, 4)] for _, (r, _, x, _) in
+            oracle._iter_runs([1] * 3, [3] * 3)]
+    assert any(min(p) < 0 < max(p) for p in runs) and any(0 in p for p in runs)
+    for lows, highs, bound in (([], [], 3), ([1, 5], [3, 5], 3), ([1, 5, 1], [3, 5, 2], 3),
+                               ([1] * 3, [3] * 3, 3), ([1] * 14, [2] * 14, 2)):
+        table = oracle._build_table(lows, highs, bound)
+        assert table == _naive_table(lows, highs, bound), (lows, highs)
+        for bucket in table.values():
+            assert type(bucket) is tuple and list(bucket) == sorted(bucket)
+    assert len(table) < 2 ** 14 and max(map(len, table.values())) >= 100
+
+
+def test_stepped_probes_match_direct(monkeypatch):
+    # _plan peels a pinned last component into the target, so this plan keeps
+    # it in the sweep: each run of the sweep then starts at the pinned value,
+    # inside or above the bound, and every probe steps from there; one target
+    # per probe group, Id, S, T and T^-1, and one outside the named eight
+    real_plan = oracle._plan
+
+    def plan_keeping_pins(size, bound, fixed, rows):
+        h, groups = real_plan(size, bound, {}, rows)[4:]
+        assert h < size
+        return (), (), *oracle._box(size, bound, fixed), h, groups
+
+    monkeypatch.setattr(oracle, "_plan", plan_keeping_pins)
+    solutions = 0
+    for size in range(4, 9):
+        for bound in (2, 3, 4):
+            for pins in [{}] + [{size: value} for value in range(1, bound + 3)]:
+                for target in ("Id", "S", "T", "T^-1", "[[2,3],[1,2]]"):
+                    direct, mitm = _both_routes(target, size, bound, pins)
+                    assert mitm == direct, (target, size, bound, pins)
+                    solutions += direct[0]
+    assert solutions > 1000
