@@ -24,7 +24,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import formulas
 from .series import TruncSeries
@@ -71,7 +71,6 @@ class _Build:
         self.u1 = one.sub(self.p_inverse)
         v1 = self.q.sub(one).mul(self.p_inverse)
         self._rows = {"U": [self.u1], "V": [v1], "W": [self.p_inverse.mul(v1)]}
-        self._targets = None
 
     def row(self, family, j):
         """Row j >= 1 of U, V or W(1, .)."""
@@ -82,39 +81,34 @@ class _Build:
             rows.append(rows[-1].mul(self.u1))
         return rows[j - 1]
 
+    @cached_property
     def targets(self):
-        """The rows S, T, u..y at n = 0..order-1, as sums of Q, V and W(1, .).
+        """The rows Q, S, T, u..y at n = 0..order-1; S..y as sums of Q, V and W(1, .).
 
         x(n) reads V(1) at n + 1, hence the one index short of the order.
         An entry below its family's first index is not a count.
         """
-        if self._targets is None:
-            order = self.u1.order
-            q = self.q.coeffs
-            v = {d: self.row("V", d).coeffs for d in range(1, order + 1)}
-            w = {k: self.row("W", k).coeffs for k in range(1, order + 1)}
-            s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
-            self._targets = {
-                "S": s,
-                "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
-                "u": [q[n] - v[1][n] for n in range(order)],
-                "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
-                "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
-                      for n in range(order)],
-                "x": [v[1][n + 1] for n in range(order)],
-                "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
-            }
-        return self._targets
+        order = self.u1.order
+        q = self.q.coeffs
+        v = {d: self.row("V", d).coeffs for d in range(1, order + 1)}
+        w = {k: self.row("W", k).coeffs for k in range(1, order + 1)}
+        s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
+        return {
+            "Q": q[:order],
+            "S": s,
+            "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
+            "u": [q[n] - v[1][n] for n in range(order)],
+            "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
+            "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
+                  for n in range(order)],
+            "x": [v[1][n + 1] for n in range(order)],
+            "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
+        }
 
 
 @lru_cache(maxsize=None)
 def _build(order):
     return _Build(order)
-
-
-def clear_caches():
-    """Drop the memoized series builds; every later call rebuilds them."""
-    _build.cache_clear()
 
 
 def series_P(order):
@@ -178,39 +172,34 @@ def by_last(target_name, size):
     else:
         # a T solution ending in 1 is an S solution one shorter with 1
         # appended; one ending in d >= 2 is an Id solution ending in d - 1
-        counts = {1: build.targets()["S"][n - 1]}
+        counts = {1: build.targets["S"][n - 1]}
         counts.update((d, build.row("V", d - 1).coeff(n)) for d in range(2, n + 2))
     return {d: count for d, count in counts.items() if count}
 
 
-# Sizes 1 and 2 solved by hand from the fixed entries of the products:
+# Each named target's census row, then its counts at sizes 1 and 2,
+# solved by hand from the fixed entries of the products:
 # m_1(a) = [[a,-1],[1,0]] and m_2(a,b) = [[ab-1,-b],[a,-1]].  The -1/1
 # entries force the sign and every component, leaving one solution for
 # TS at size 1 (m_1(1) is the TS matrix itself), one for TSTS at size 2
 # ((1,1)), and nothing anywhere else.
-_SMALL_SIZE_COUNTS = {
-    "Id": (0, 0), "S": (0, 0), "T": (0, 0), "T^-1": (0, 0),
-    "TS": (1, 0), "ST": (0, 0), "TSTS": (0, 1), "STST": (0, 0),
-}
-
-_FAMILY_OF_TARGET = {
-    "S": "S", "T": "T", "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x", "STST": "y",
+_TARGET_ROWS = {
+    "Id": ("Q", 0, 0), "S": ("S", 0, 0), "T": ("T", 0, 0), "T^-1": ("u", 0, 0),
+    "TS": ("v", 1, 0), "ST": ("w", 0, 0), "TSTS": ("x", 0, 1), "STST": ("y", 0, 0),
 }
 
 
 def count_solutions(target_name, size):
     """Census count of solutions of the given size for a named target."""
-    if target_name not in _SMALL_SIZE_COUNTS:
+    if target_name not in _TARGET_ROWS:
         raise ValueError(f"unknown target name {target_name!r}")
     if size < 1:
         raise ValueError("size must be at least 1")
+    row, *small = _TARGET_ROWS[target_name]
     if size <= 2:
-        return _SMALL_SIZE_COUNTS[target_name][size - 1]
+        return small[size - 1]
     n = size - 2
-    build = _build(n + 1)
-    if target_name == "Id":
-        return build.q.coeff(n)
-    return build.targets()[_FAMILY_OF_TARGET[target_name]][n]
+    return _build(n + 1).targets[row][n]
 
 
 @dataclass
@@ -292,5 +281,5 @@ def census_table(family, n_max, k=None, l=None):
         label, ts = series_row(family, n_max + 1, k, l)
         row = ts.coeffs
     else:
-        label, row = family, _build(n_max + 1).targets()[family]
+        label, row = family, _build(n_max + 1).targets[family]
     return CountTable(label, {n: row[n] for n in range(start, n_max + 1)}, "series")

@@ -151,7 +151,8 @@ def build_parser():
     add_format(oracle_cmd)
 
     verify_cmd = sub.add_parser("verify", help="run the full cross-check suite")
-    verify_cmd.add_argument("--max-size", dest="max_size", type=int, default=12,
+    verify_cmd.add_argument("--max-size", dest="max_size", type=int,
+                            default=verify.ORACLE_MAX_SIZE,
                             help="largest tuple size for the oracle checks")
     verify_cmd.add_argument("--order", type=int, default=verify.IDENTITY_ORDER,
                             help="identity-suite truncation order (default 32)")

@@ -13,25 +13,24 @@ generator words such as "TST^-1", or explicit matrices "[[a,b],[c,d]]".
 
 import json
 import re
+from dataclasses import dataclass
 
 
 class WordParseError(ValueError):
     """Raised when a generator word or target expression cannot be read."""
 
 
+@dataclass(frozen=True, repr=False)
 class Mat2:
-    """Immutable 2x2 matrix of arbitrary-precision integers."""
+    """Frozen 2x2 matrix of arbitrary-precision integers; any assignment
+    raises AttributeError, and equality and hash go by the entries."""
 
+    # not slots=True: assigning a non-field would raise TypeError (3.10-3.13)
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
+    a: int
+    b: int
+    c: int
+    d: int
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -51,14 +50,6 @@ class Mat2:
 
     def __neg__(self):
         return Mat2(-self.a, -self.b, -self.c, -self.d)
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.entries() == other.entries()
-
-    def __hash__(self):
-        return hash(self.entries())
 
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

@@ -51,9 +51,11 @@ sweep by its first digit, runs the partitions in a fork pool capped at
 the CPU count, and merges them.
 
 The direct route, the reference the join is checked against, shares
-no search code with the join: it looks each product of the box up among
-all targets and their negations, skipping runs whose second row, which
-every product of the run shares, is no target's up to sign.
+only _iter_runs with the join (test_iter_runs_odometer and
+test_direct_route_matches_naive_enumeration check both against m_n
+over every tuple of the box): it looks each product of the box up
+among all targets and their negations, skipping runs whose second
+row, which every product of the run shares, is no target's up to sign.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).

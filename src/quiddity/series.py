@@ -9,6 +9,8 @@ Multiplication is the naive O(N^2) Cauchy product; it is the reference
 implementation everything else must match bit for bit.
 """
 
+from dataclasses import dataclass
+
 
 class OrderMismatchError(ValueError):
     """Two series of different truncation orders were combined."""
@@ -24,19 +26,20 @@ def _check_int(value):
     return value
 
 
+@dataclass(frozen=True, repr=False)
 class TruncSeries:
-    """Immutable truncated series; coefficients indexed 0..order."""
+    """Frozen truncated series, coefficients indexed 0..order; any assignment
+    raises AttributeError, and equality and hash go by the coefficients."""
 
-    __slots__ = ("_coeffs",)
+    # listed by hand, as for matrices.Mat2
+    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        coeffs = tuple(_check_int(c) for c in coeffs)
+    def __post_init__(self):
+        coeffs = tuple(_check_int(c) for c in self.coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "_coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TruncSeries is immutable")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def one(cls, order):
@@ -47,17 +50,13 @@ class TruncSeries:
         return cls((0,) * (order + 1))
 
     @property
-    def coeffs(self):
-        return self._coeffs
-
-    @property
     def order(self):
-        return len(self._coeffs) - 1
+        return len(self.coeffs) - 1
 
     def coeff(self, j):
         if j < 0 or j > self.order:
             raise IndexError(f"coefficient index {j} outside 0..{self.order}")
-        return self._coeffs[j]
+        return self.coeffs[j]
 
     def _check_order(self, other):
         if not isinstance(other, TruncSeries):
@@ -69,15 +68,15 @@ class TruncSeries:
 
     def add(self, other):
         self._check_order(other)
-        return TruncSeries(tuple(a + b for a, b in zip(self._coeffs, other._coeffs)))
+        return TruncSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def sub(self, other):
         self._check_order(other)
-        return TruncSeries(tuple(a - b for a, b in zip(self._coeffs, other._coeffs)))
+        return TruncSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def mul(self, other):
         self._check_order(other)
-        a, b = self._coeffs, other._coeffs
+        a, b = self.coeffs, other.coeffs
         n = len(a)
         out = [0] * n
         for i in range(n):
@@ -98,7 +97,7 @@ class TruncSeries:
 
     def inverse(self):
         """Multiplicative inverse, via b_n = -a_0^{-1} * sum a_k b_{n-k}."""
-        a = self._coeffs
+        a = self.coeffs
         a0 = a[0]
         if a0 not in (1, -1):
             raise NotInvertibleError(f"constant term must be 1 or -1, got {a0}")
@@ -117,7 +116,7 @@ class TruncSeries:
         """Multiply by X^j, dropping coefficients past the order."""
         if j < 0 or j > self.order:
             raise IndexError(f"shift amount {j} outside 0..{self.order}")
-        return TruncSeries((0,) * j + self._coeffs[: len(self._coeffs) - j])
+        return TruncSeries((0,) * j + self.coeffs[: len(self.coeffs) - j])
 
     def __add__(self, other):
         return self.add(other)
@@ -128,13 +127,5 @@ class TruncSeries:
     def __mul__(self, other):
         return self.mul(other)
 
-    def __eq__(self, other):
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
-
     def __repr__(self):
-        return f"TruncSeries({list(self._coeffs)!r})"
+        return f"TruncSeries({list(self.coeffs)!r})"

@@ -1,6 +1,9 @@
 import json
+from pathlib import Path
 
 from quiddity import cli
+
+RECORDED = Path(__file__).parent / "data" / "cli_outputs.json"
 
 
 def run_cli(capsys, *argv):
@@ -191,3 +194,18 @@ def test_verify_json(capsys):
     golden_tables = {name.split(":")[1] for name in names
                      if name.startswith("golden:")}
     assert len(golden_tables) >= 9
+
+
+def test_outputs_match_the_recording(capsys):
+    """Every recorded call prints the same stdout and stderr and exits the same.
+
+    The file holds table, series, oracle and verify calls, and a usage and
+    a budget error, as recorded from `python -m quiddity`.  Editing it
+    changes what the CLI promises to print; it is not a way to make this
+    test pass.
+    """
+    cases = json.loads(RECORDED.read_text(encoding="utf-8"))["cases"]
+    for case in cases:
+        got = run_cli(capsys, *case["argv"])
+        assert (case["argv"], *got) == (case["argv"], case["exit_code"],
+                                        case["stdout"], case["stderr"])

@@ -36,7 +36,12 @@ def test_mat2_is_immutable_and_hashable():
     mat = Mat2(1, 2, 3, 4)
     with pytest.raises(AttributeError):
         mat.a = 9
+    with pytest.raises(AttributeError):
+        mat.e = 9
     assert hash(Mat2(1, 2, 3, 4)) == hash(mat)
+    assert hash(S * S * S * S) == hash(IDENTITY)
+    assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
+    assert len({IDENTITY, Mat2(1, 0, 0, 1), -IDENTITY}) == 2
     assert repr(mat) == "[[1,2],[3,4]]"
 
 

@@ -618,9 +618,9 @@ def test_survey_probes_once_per_target_column(monkeypatch):
 
 
 def test_table_memory_per_entry():
-    # 349 B/entry is what entries holding their digit tuples took on the
-    # 12^5 box; every bucket of this box holds one entry, the costliest
-    # case per entry, and the build's peak must stay under that here too
+    # every bucket of this box holds one entry, the costliest case per
+    # entry; the build's peak measured 245.9 B/entry on Python 3.10 and
+    # 254.5-254.6 on 3.11 to 3.13
     lows, highs = [7] * 5, [12] * 5
     tracemalloc.start()
     try:
@@ -629,7 +629,7 @@ def test_table_memory_per_entry():
     finally:
         tracemalloc.stop()
     assert sum(map(len, table.values())) == 6 ** 5
-    assert peak / 6 ** 5 <= 349
+    assert peak / 6 ** 5 <= 280
 
 
 def test_direct_route_matches_naive_enumeration():

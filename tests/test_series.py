@@ -29,9 +29,13 @@ def test_immutability_and_equality():
     ts = TruncSeries([1, 2])
     with pytest.raises(AttributeError):
         ts._coeffs = (0,)
+    with pytest.raises(AttributeError):
+        ts.coeffs = (0, 0)
     assert ts == TruncSeries([1, 2])
     assert hash(ts) == hash(TruncSeries([1, 2]))
+    assert hash(TruncSeries.one(1).add(TruncSeries([0, 2]))) == hash(ts)
     assert ts != TruncSeries([1, 2, 0])
+    assert ts != (1, 2)
 
 
 def test_constructors():
