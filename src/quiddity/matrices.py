@@ -54,6 +54,9 @@ class Mat2:
     def __repr__(self):
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 
+    def __reduce__(self):  # pickle and copy rebuild it, not assign its frozen slots
+        return self.__class__, self.entries()
+
     def inverse(self):
         if self.det() != 1:
             raise ValueError(f"matrix {self} has determinant {self.det()}, expected 1")

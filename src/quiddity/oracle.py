@@ -20,13 +20,13 @@ The last middle digit is solved the same way.  With Z = elem(a_h) * Z'
 and Z' = m_n(a_2..a_(h-1)), Z*e1 = (a_h*z'11 - z'21, z'11), so a probe
 w = (x, y), the signed R*e2 with y > 0, matches exactly the Z' with
 z'11 = y and z'21 = a_h*y - x.  The table holds every Z',
-sign-normalized to z'11 >= 0, in tuple buckets keyed by
-(z'11, z'21 mod z'11) and sorted by z'21, so a probe is one lookup and
-a bisection over a_h's range.  A Z' with z'11 = 0 has z'21 = 1; it
+sign-normalized to z'11 >= 0, as one int per entry, bucketed by
+(z'11, z'21 mod z'11) in z'21 order, so a probe is one lookup and a
+bisection over a_h's range.  A Z' with z'11 = 0 has z'21 = 1; it
 matches w = (1, 0) for every a_h, as -Z'.  Targets that share their
 second column up to sign share R*e2 up to sign, so each suffix costs
-one probe per distinct column, and each hit solves a_h and then a_1
-per target in closed form.  Neither a_1 nor a_h is ever enumerated.
+one probe per distinct column.  A hit tests a_1's window of z'12 per
+target, then solves a_h and a_1 in closed form: neither is enumerated.
 
 Every route records what it finds in one tally per target,
 {(first, last, touched): solutions}, where touched says whether a
@@ -64,6 +64,7 @@ the bound; zero means every solution sits strictly inside the box,
 the usual saturation sanity signal.
 """
 
+import math
 import multiprocessing
 import os
 from bisect import bisect_left
@@ -73,7 +74,7 @@ from typing import NamedTuple
 
 from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
 
-DEFAULT_MAX_TABLE_ENTRIES = 8_000_000
+DEFAULT_MAX_TABLE_ENTRIES = 8_000_000  # at about 110 B per table entry, a 0.9 GB table
 
 _ZERO_KEY = 0  # the table key of every Z' with z'11 = 0; other keys are >= 1
 
@@ -192,10 +193,7 @@ def _iter_runs(lows, highs):
 
 
 def _projected(lows, highs):
-    total = 1
-    for lo, hi in zip(lows, highs):
-        total *= hi - lo + 1
-    return total
+    return math.prod(hi - lo + 1 for lo, hi in zip(lows, highs))
 
 
 def _check_budget(projected, budget, label):
@@ -264,22 +262,21 @@ def _summary(tally):
 
 
 def _build_table(lows, highs, bound):
-    """Bucket every product Z' over the table box for the probes of _join.
+    """(table, widths): every product Z' over the table box, bucketed for the probes of _join.
 
-    Z' = (p, q, r, s) is sign-normalized so that z'11 >= 0.  With p > 0
-    it is stored as (r, q, code) under the key of the pair (p, r mod p),
-    packed into the one int p^2 + (r mod p): the residue is below p, so
-    distinct pairs get distinct keys.  With p < 0, -Z' is stored as
-    (-r, -q, code) under its key p^2 - (r mod p), and no -Z' is built.
-    With p = 0, det Z' = 1 makes r = +/-1 and q = -r, and Z' normalized
-    to r = 1 is stored as (1, r*s, code) under _ZERO_KEY.  code is twice
-    the odometer index of the digits, plus one when a digit reaches the
-    bound (tested once per run for all digits but the innermost), so the
-    digits are decoded only for a listing.  Each bucket is a tuple sorted
-    by z'21.  Most keys hold one entry, so a bucket starts as a 1-tuple;
-    a key's second entry turns it into a list and records the key, and
-    only the recorded keys are sorted into tuples at the end.
+    Z' = (p, q, r, s), sign-normalized to p >= 0 (-Z' is never built), is
+    keyed by (p, r mod p) as the one int p^2 + (r mod p); a Z' with p = 0
+    has r = +/-1 and q = -r, and goes under _ZERO_KEY with z'22 for z'12.
+    The entry is (z'21 << shift) + ((z'12 + limit) << cbits) + code, with
+    widths (cbits, shift, limit) from the box: limit = prod(hi + 1) bounds
+    every |entry| of Z', so the fields never overlap, and the ints sort by
+    z'21.  code is twice the odometer index of the digits, plus one when a
+    digit reaches the bound.  A one-entry bucket is the bare int; a key's
+    second entry makes a list, sorted into a tuple at the end.
     """
+    cbits = _projected(lows, highs).bit_length() + 1
+    limit = math.prod(hi + 1 for hi in highs)
+    shift = cbits + limit.bit_length() + 1
     table = {}
     tget = table.get
     grown = []
@@ -289,27 +286,27 @@ def _build_table(lows, highs, bound):
         outer = max(digits[:-1], default=0) >= bound
         p, q = lo * r - x, lo * s - y
         for digit in range(lo, hi + 1):
-            touched = outer or digit >= bound
             if p > 0:
-                key, entry = p * p + r % p, (r, q, code + touched)
+                key, entry = p * p + r % p, (r << shift) + ((q + limit) << cbits)
             elif p:
-                key, entry = p * p - r % p, (-r, -q, code + touched)
+                key, entry = p * p - r % p, (-r << shift) + ((limit - q) << cbits)
             else:
-                key, entry = _ZERO_KEY, (1, s * r, code + touched)
+                key, entry = _ZERO_KEY, (1 << shift) + ((s * r + limit) << cbits)
+            entry += code + (outer or digit >= bound)
             code += 2
             p += r
             q += s
             bucket = tget(key)
             if bucket is None:
-                table[key] = (entry,)
-            elif bucket.__class__ is tuple:
-                table[key] = [*bucket, entry]
+                table[key] = entry
+            elif bucket.__class__ is int:
+                table[key] = [bucket, entry]
                 grown.append(key)
             else:
                 bucket.append(entry)
     for key in grown:
         table[key] = tuple(sorted(table[key]))
-    return table
+    return table, (cbits, shift, limit)
 
 
 def _digits_at(index, lows, highs):
@@ -325,6 +322,7 @@ class _Search(NamedTuple):
     """One mitm search as _plan lays it out; _sweep hands it to every partition."""
 
     table: dict          # _build_table over table_box
+    widths: tuple        # (cbits, shift, limit) of its packed entries
     groups: list         # _plan's (b, d, members) probe groups
     targets: int         # number of targets, one tally each
     first: tuple         # (lo, hi) of a_1
@@ -339,16 +337,28 @@ def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
     Each probe group steps its probe along every run of suffixes and
-    signs it only on a hit.  Returns (tallies, listings): per target,
-    the tally {(first, last, touched): solutions} and the solution
-    tuples, or listings None.
+    signs it only on a hit, and a_1's window is tested before a_h is
+    solved.  Returns (tallies, listings): per target, the tally
+    {(first, last, touched): solutions} and the solution tuples, or
+    listings None.
     """
     tallies = [Counter() for _ in range(search.targets)]
     listings = [[] for _ in range(search.targets)] if search.want_list else None
     tget = search.table.get
-    first_lo, first_hi = search.first
-    ah_lo, ah_hi = search.implicit
+    cbits, shift, limit = search.widths
+    zmask, cmask = (1 << shift - cbits) - 1, (1 << cbits) - 1
+    (first_lo, first_hi), (ah_lo, ah_hi) = search.first, search.implicit
     slo, shi = (slows[-1], shighs[-1]) if slows else (0, 0)
+
+    def record(ti, first, ah, entry):
+        code = entry & cmask
+        touched = code & 1 or max(first, ah, last, *digits[:-1]) >= search.bound
+        # last = 0 only in the empty sweep's run, where a_h is the last digit
+        tallies[ti][first, last or ah, touched] += 1
+        if listings is not None:
+            suffix = (*digits[:-1], last) if last else ()
+            listings[ti].append((first, *_digits_at(code >> 1, *search.table_box), ah, *suffix))
+
     for digits, (r, s, u, v) in _iter_runs(slows, shighs):
         # the run's suffixes are (last*r - u, last*s - v, r, s)
         for b, d, members in search.groups:
@@ -367,32 +377,31 @@ def _join(search, slows, shighs):
                 # Z*e1 = (wx, wy) is needed, w signed so that wy > 0, or wy = 0 and wx > 0
                 sign = 1 if y > 0 or (y == 0 and x > 0) else -1
                 p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
+                bucket = (bucket,) if bucket.__class__ is int else bucket
                 if wy:
                     # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the matches
-                    # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket;
-                    # a_1 comes from the second row of a_1*Z*e1 + Z*e2 = -sign*R*e1
-                    lo = bisect_left(bucket, (ah_lo * wy - wx,))
-                    hi = bisect_left(bucket, (ah_hi * wy - wx + 1,))
-                    matches = [((wx + z21) // wy, z12, code) for z21, z12, code in bucket[lo:hi]]
-                    z1, rhs = wy, [(ti, sign * (r * ta - p * tc)) for ti, ta, tc in members]
+                    # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket; then
+                    # a_1*Z*e1 + Z*e2 = -sign*R*e1 has the second row a_1*wy + z'12 = r1,
+                    # so a_1's range is a window of z'12, tested before a_h is unpacked
+                    bucket = bucket[bisect_left(bucket, (ah_lo * wy - wx) << shift):
+                                    bisect_left(bucket, (ah_hi * wy - wx + 1) << shift)]
+                    for ti, ta, tc in members:
+                        # r1 and z = z'12 + limit, the packed field, both carry limit
+                        r1 = sign * (r * ta - p * tc) + limit
+                        low, high = r1 - first_hi * wy, r1 - first_lo * wy
+                        for entry in bucket:
+                            if low <= (z := entry >> cbits & zmask) <= high:
+                                record(ti, (r1 - z) // wy, (wx + (entry >> shift)) // wy, entry)
                 else:
                     # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
-                    # whose Z*e2 = (a_h + z'22, 1); a_1 comes from the first row
-                    matches = [(ah, ah + z22, code) for ah in range(ah_lo, ah_hi + 1)
-                               for _, z22, code in bucket]
-                    z1, rhs = 1, [(ti, sign * (q * tc - s * ta)) for ti, ta, tc in members]
-                for ti, r1 in rhs:
-                    for ah, z2, code in matches:
-                        first = (r1 - z2) // z1
-                        if first < first_lo or first > first_hi:
-                            continue
-                        touched = code & 1 or max(first, ah, last, *digits[:-1]) >= search.bound
-                        # last = 0 only in the empty sweep's run, where a_h is the last digit
-                        tallies[ti][first, last or ah, touched] += 1
-                        if listings is not None:
-                            suffix = (*digits[:-1], last) if last else ()
-                            listings[ti].append((first, *_digits_at(code >> 1, *search.table_box),
-                                                 ah, *suffix))
+                    # whose Z*e2 = (a_h + z'22, 1); the first row makes a_1 + a_h = r1 - z'22
+                    for ti, ta, tc in members:
+                        r1 = sign * (q * tc - s * ta) + limit
+                        for entry in bucket:
+                            both = r1 - (entry >> cbits & zmask)
+                            lo, hi = max(ah_lo, both - first_hi), min(ah_hi, both - first_lo)
+                            for ah in range(lo, hi + 1):
+                                record(ti, both - ah, ah, entry)
     return tallies, listings
 
 
@@ -497,7 +506,7 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
     _check_budget(_projected(*table_box), budget, "the middle table")
     _check_budget(_projected(*sweep_box), budget, "the suffix sweep")
-    search = _Search(_build_table(*table_box, bound), groups, len(target_rows),
+    search = _Search(*_build_table(*table_box, bound), groups, len(target_rows),
                      (lows[0], highs[0]), table_box, (lows[h - 1], highs[h - 1]), sweep_box,
                      bound, want_list)
     tallies, listings = _sweep(search, workers)

@@ -41,6 +41,9 @@ class TruncSeries:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
 
+    def __reduce__(self):  # as for matrices.Mat2
+        return self.__class__, (self.coeffs,)
+
     @classmethod
     def one(cls, order):
         return cls((1,) + (0,) * order)

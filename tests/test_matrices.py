@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from quiddity.matrices import (
@@ -43,6 +46,13 @@ def test_mat2_is_immutable_and_hashable():
     assert Mat2(1, 0, 0, 1) != (1, 0, 0, 1)
     assert len({IDENTITY, Mat2(1, 0, 0, 1), -IDENTITY}) == 2
     assert repr(mat) == "[[1,2],[3,4]]"
+
+
+def test_mat2_pickles_and_copies():
+    mat = Mat2(1, 2, 3, 4)
+    for twin in (pickle.loads(pickle.dumps(mat)), copy.copy(mat), copy.deepcopy(mat)):
+        assert type(twin) is Mat2 and twin == mat and hash(twin) == hash(mat)
+    assert copy.deepcopy({"target": S}) == {"target": S}
 
 
 def test_inverse():

@@ -607,7 +607,12 @@ def test_survey_probes_once_per_target_column(monkeypatch):
             return super().get(key, default)
 
     real = oracle._build_table
-    monkeypatch.setattr(oracle, "_build_table", lambda *args: CountingTable(real(*args)))
+
+    def counting_build(*args):
+        table, widths = real(*args)
+        return CountingTable(table), widths
+
+    monkeypatch.setattr(oracle, "_build_table", counting_build)
     rows = [mat.entries() for mat in matrices.TARGETS.values()]
     groups = oracle._plan(8, 8, {}, rows)[5]
     assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
@@ -619,17 +624,16 @@ def test_survey_probes_once_per_target_column(monkeypatch):
 
 def test_table_memory_per_entry():
     # every bucket of this box holds one entry, the costliest case per
-    # entry; the build's peak measured 245.9 B/entry on Python 3.10 and
-    # 254.5-254.6 on 3.11 to 3.13
+    # entry; the build's peak measured 109.9 B/entry on Python 3.10 to 3.13
     lows, highs = [7] * 5, [12] * 5
     tracemalloc.start()
     try:
-        table = oracle._build_table(lows, highs, 12)
+        table = oracle._build_table(lows, highs, 12)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sum(map(len, table.values())) == 6 ** 5
-    assert peak / 6 ** 5 <= 280
+    assert len(table) == 6 ** 5 and all(type(bucket) is int for bucket in table.values())
+    assert peak / 6 ** 5 <= 130
 
 
 def test_direct_route_matches_naive_enumeration():
@@ -667,7 +671,7 @@ def test_table_touched_bits_per_run():
     # own digits, with the touched bit set exactly when one reaches it
     for lows, highs, bound in (([1, 1], [2, 3], 3), ([1, 1], [3, 2], 3),
                                ([1, 1, 1], [2, 3, 2], 3), ([1, 5], [2, 5], 3)):
-        table = oracle._build_table(lows, highs, bound)
+        table = _decoded(*oracle._build_table(lows, highs, bound))
         box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
         codes = sorted(code for bucket in table.values() for _, _, code in bucket)
         assert [code >> 1 for code in codes] == list(range(len(box)))
@@ -699,6 +703,21 @@ def test_one_digit_sweep_is_the_same_for_any_worker_count():
         assert _both_routes(target, 4, 5, {}) == [_summary(serial)] * 2
 
 
+def _decoded(table, widths):
+    # each bucket of _build_table as the tuple of its (z'21, z'12, code), unpacked
+    # from the ints (z'21 << shift) + ((z'12 + limit) << cbits) + code; a bucket
+    # is a bare int, or a sorted tuple of two or more ints
+    cbits, shift, limit = widths
+    decoded = {}
+    for key, bucket in table.items():
+        if type(bucket) is not int:
+            assert type(bucket) is tuple and len(bucket) > 1 and list(bucket) == sorted(bucket)
+        decoded[key] = tuple((entry >> shift, (entry % (1 << shift) >> cbits) - limit,
+                              entry % (1 << cbits))
+                             for entry in ((bucket,) if type(bucket) is int else bucket))
+    return decoded
+
+
 def _naive_table(lows, highs, bound):
     # every product over the box, one at a time: sign-normalized to z'11 > 0, or
     # z'11 = 0 and z'21 > 0, keyed by (z'11, z'21 mod z'11), buckets sorted
@@ -723,11 +742,33 @@ def test_table_matches_naive_build():
     assert any(min(p) < 0 < max(p) for p in runs) and any(0 in p for p in runs)
     for lows, highs, bound in (([], [], 3), ([1, 5], [3, 5], 3), ([1, 5, 1], [3, 5, 2], 3),
                                ([1] * 3, [3] * 3, 3), ([1] * 14, [2] * 14, 2)):
-        table = oracle._build_table(lows, highs, bound)
+        table = _decoded(*oracle._build_table(lows, highs, bound))
         assert table == _naive_table(lows, highs, bound), (lows, highs)
-        for bucket in table.values():
-            assert type(bucket) is tuple and list(bucket) == sorted(bucket)
     assert len(table) < 2 ** 14 and max(map(len, table.values())) >= 100
+
+
+def test_packed_fields_fit_pinned_digits_of_any_size():
+    # a table-box digit pinned far above the bound widens |Z'| and so the
+    # fields of every packed entry; the widths come from the box, so the
+    # fields must not overlap, for a digit below 2^64 and one above it
+    identity = [matrices.IDENTITY.entries()]
+    solves = 0
+    for size in (5, 6, 7):
+        for pos in (2, 3):
+            for value in (10 ** 9, 2 ** 70 + 3):
+                pins = {pos: value}
+                lows, h = oracle._plan(size, 3, pins, identity)[2:5:2]
+                assert lows[pos - 1] == value and 2 <= pos <= h - 1
+                # the named targets, then two tuples of the box that must find themselves
+                own = [digits[:pos - 1] + (value,) + digits[pos:]
+                       for digits in ((1,) * size, (3, 2, 1, 3, 2, 1, 3)[:size])]
+                for target in ["Id", "T", "S", "TSTS", "[[2,3],[1,2]]"] + own:
+                    mat = matrices.m_n(target) if isinstance(target, tuple) else target
+                    direct, mitm = _both_routes(mat, size, 3, pins)
+                    assert direct == mitm, (target, size, pins)
+                    assert not isinstance(target, tuple) or target in mitm[4]
+                    solves += 2
+    assert solves == 168
 
 
 def test_stepped_probes_match_direct(monkeypatch):

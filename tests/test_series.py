@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -36,6 +38,13 @@ def test_immutability_and_equality():
     assert hash(TruncSeries.one(1).add(TruncSeries([0, 2]))) == hash(ts)
     assert ts != TruncSeries([1, 2, 0])
     assert ts != (1, 2)
+
+
+def test_series_pickles_and_copies():
+    ts = TruncSeries([1, -2, 3])
+    for twin in (pickle.loads(pickle.dumps(ts)), copy.copy(ts), copy.deepcopy(ts)):
+        assert type(twin) is TruncSeries and twin == ts and hash(twin) == hash(ts)
+        assert type(twin.coeffs) is tuple
 
 
 def test_constructors():
