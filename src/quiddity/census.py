@@ -13,11 +13,11 @@ Families, all counting solution tuples of size n + 2 for their target:
 
 The series of one truncation order come from one cached build: P and Q
 solved from their functional equations, and rows grown by U1 = 1 - 1/P.
-The named-target rows are fixed sums of the same build's Q, V(d) and
-W(1,k) coefficients, so a table of any family, and a count or last-
-component histogram of any size, reads one build.  No closed form
-enters it; P, Q, Ptilde, D, E, F also exist as closed-form rows (see
-`formulas`), the independent second route.
+The named-target rows are products of the same build's P, Q, U1, V1
+and W11 (S = X (Q - 1)(P - 1), for one), so a table of any family, and
+a count or last-component histogram of any size, reads one build.  No
+closed form enters it; P, Q, Ptilde, D, E, F also exist as closed-form
+rows (see `formulas`), the independent second route.
 """
 
 import csv
@@ -83,27 +83,24 @@ class _Build:
 
     @cached_property
     def targets(self):
-        """The rows Q, S, T, u..y at n = 0..order-1; S..y as sums of Q, V and W(1, .).
+        """The rows Q, S, T, u..y at n = 0..order-1, as products of P, Q, U1, V1 and W11.
 
-        x(n) reads V(1) at n + 1, hence the one index short of the order.
+        Since 1 - U1 = 1/P, the sums over the last component collapse: S
+        and y, one size shorter, are sum_d (d-1) V(d) = (Q-1)(P-1) and
+        sum_d (d-2) V(d) = V1 U1^2 P^2, and w's sum_k W(1,k) = W11 P = V1.
+        x(n) reads V1 at n + 1, hence the one index short of the order.
         An entry below its family's first index is not a count.
         """
-        order = self.u1.order
-        q = self.q.coeffs
-        v = {d: self.row("V", d).coeffs for d in range(1, order + 1)}
-        w = {k: self.row("W", k).coeffs for k in range(1, order + 1)}
-        s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
-        return {
-            "Q": q[:order],
-            "S": s,
-            "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
-            "u": [q[n] - v[1][n] for n in range(order)],
-            "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
-            "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
-                  for n in range(order)],
-            "x": [v[1][n + 1] for n in range(order)],
-            "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
+        one = TruncSeries.one(self.u1.order)
+        p, q, u1 = self.p, self.q, self.u1
+        q1, v1, w11 = q - one, self.row("V", 1), self.row("W", 1)
+        s = (q1 * (p - one)).shift(1)
+        rows = {
+            "Q": q, "S": s, "T": s.shift(1) + q1, "u": q - v1,
+            "v": q1.shift(1) + s, "w": q - v1 - v1 + w11,
+            "y": (v1 * u1 * u1 * p * p).shift(1),
         }
+        return {tag: row.coeffs[:-1] for tag, row in rows.items()} | {"x": v1.coeffs[1:]}
 
 
 @lru_cache(maxsize=None)

@@ -198,8 +198,28 @@ def _projected(lows, highs):
 
 def _check_budget(projected, budget, label):
     if projected > budget:
+        # a huge bound can make a count too long to print in full
+        shown = projected if projected.bit_length() <= 1024 else (
+            f"at least 2^{projected.bit_length() - 1}")
         raise ResourceBudgetError(
-            f"{label} would enumerate {projected} tuples, over the table budget "
+            f"{label} would enumerate {shown} tuples, over the table budget "
+            f"of {budget}; raise max_table_entries or constrain components"
+        )
+
+
+def _check_box(free, bound, budget, method):
+    """Refuse a box that no split fits, before _plan or any per-digit list.
+
+    Each free component multiplies the side it falls in by bound >= 2, so
+    a side within the budget holds fewer than budget.bit_length() of them.
+    The direct route has one side, the whole box; the join has two, the
+    table and the sweep, which leave out a_1 and a_h.  A box that passes
+    still meets _check_budget, which names the side and its exact size.
+    """
+    sides, need = (1, free) if method == "direct" else (2, free - 2)
+    if bound > 1 and need > sides * (budget.bit_length() - 1):
+        raise ResourceBudgetError(
+            f"the search box has too many free components for the table budget "
             f"of {budget}; raise max_table_entries or constrain components"
         )
 
@@ -586,6 +606,7 @@ def _run(targets, size, bound, constraints, method, workers, budget, want_list):
     """
     bound, method = _check_run(size, bound, method, workers)
     fixed = _normalize_constraints(constraints, size)
+    _check_box(size - len(fixed), bound, budget, method)
     rows = [mat.entries() for mat, _ in targets]
     if method == "direct":
         lows, highs = _box(size, bound, fixed)

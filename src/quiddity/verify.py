@@ -207,9 +207,11 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
         report.check(f"identity:P-power-{e}", list(p.pow(e).coeffs),
                      [formulas.coeff_powP(e, n) for n in range(order + 1)])
 
+    # W(k, l) = P^-1 V(k) U(l-1), with U(0) = 1: a route that never reads W(1, k+l-1)
     for k, l in ((2, 2), (3, 2), (2, 4), (5, 3)):
+        u = census.series_U(l - 1, order) if l > 1 else one
         report.check(f"identity:W-shift-{k}-{l}",
-                     list(census.series_W(1, k + l - 1, order).coeffs),
+                     list(p_inv.mul(census.series_V(k, order)).mul(u).coeffs),
                      list(census.series_W(k, l, order).coeffs))
     return report
 

@@ -22,7 +22,9 @@ def test_series_constructions_agree():
     assert census.series_V(2, order) == census.series_V(1, order).mul(
         census.series_U(1, order)
     )
-    assert census.series_W(2, 3, order) == census.series_W(4, 1, order)
+    # W(k, l) = W11 U1^(k+l-2) with W11 = V1 / P, so a route through V(k) and U(l-1)
+    assert census.series_W(2, 3, order) == census.series_P_inverse(order).mul(
+        census.series_V(2, order)).mul(census.series_U(2, order))
 
 
 def test_series_k_validation():
@@ -74,6 +76,40 @@ def test_named_target_table_is_one_build():
         census._build.cache_clear()
         census.census_table(tag, 48)
         assert census._build.cache_info().misses == 1, tag
+
+
+def _ladder_targets(build):
+    """The named-target rows as sums over the V and W(1, .) ladders, the reference
+    for the products of _Build.targets."""
+    order = build.u1.order
+    q = build.q.coeffs
+    v = {d: build.row("V", d).coeffs for d in range(1, order + 1)}
+    w = {k: build.row("W", k).coeffs for k in range(1, order + 1)}
+    s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
+    return {
+        "Q": list(q[:order]),
+        "S": s,
+        "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
+        "u": [q[n] - v[1][n] for n in range(order)],
+        "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
+        "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
+              for n in range(order)],
+        "x": [v[1][n + 1] for n in range(order)],
+        "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
+    }
+
+
+def test_target_products_match_the_ladder_sums():
+    for order in (*range(3, 13), 48, 100):
+        products = {tag: list(row) for tag, row in census._Build(order).targets.items()}
+        assert products == _ladder_targets(census._Build(order)), order
+
+
+def test_named_target_rows_leave_the_ladders_ungrown():
+    census._build.cache_clear()
+    build = census._build(49)
+    assert build.targets["S"][48] == census.count_solutions("S", 50)
+    assert (len(build._rows["V"]), len(build._rows["W"])) == (1, 1)
 
 
 def test_count_S_by_last():

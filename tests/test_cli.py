@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 from quiddity import cli
@@ -160,6 +161,18 @@ def test_resource_exhaustion_exit_3(capsys):
     code, _, err = run_cli(capsys, "oracle", "--target", "Id", "--size", "26")
     assert code == 3
     assert "budget" in err
+
+
+def test_oversized_box_is_refused_before_any_search(capsys):
+    # far past the budget: no plan is made and no size is printed, so a box
+    # too long for a Python list, or with a count too long to print, exits 3 at once
+    for size in ("3000", str(10 ** 20)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "oracle", "--target", "Id", "--size", size)
+        assert time.perf_counter() - start < 1.0, size
+        assert (code, out) == (3, ""), size
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+        assert "budget" in err
 
 
 def test_output_is_deterministic(capsys):

@@ -209,6 +209,32 @@ def test_budget_errors():
     assert survey(6, max_table_entries=36).counts["Id"] == 15
     with pytest.raises(ResourceBudgetError):
         survey(6, max_table_entries=35)
+    # a box that no split fits is refused before it is planned; a huge bound
+    # passes that test, and the side it overfills is sized as a power of two
+    with pytest.raises(ResourceBudgetError, match="too many free components"):
+        solve(OracleQuery(target="Id", size=10 ** 20))
+    with pytest.raises(ResourceBudgetError, match=r"middle table would enumerate at least 2\^"):
+        solve(OracleQuery(target="Id", size=10, bound=10 ** 4000))
+
+
+def test_box_refusal_spares_every_plan_in_budget():
+    identity = [matrices.IDENTITY.entries()]
+    refused = 0
+    for size in range(2, 41):
+        for bound in (2, 3, size):
+            lows, highs = oracle._box(size, bound, {})
+            h = oracle._plan(size, bound, {}, identity)[4]
+            sides = {"direct": [oracle._projected(lows, highs)],
+                     "mitm": [oracle._projected(lows[1:h - 1], highs[1:h - 1]),
+                              oracle._projected(lows[h:], highs[h:])]}
+            for budget in (1, 35, 36, 1000, oracle.DEFAULT_MAX_TABLE_ENTRIES):
+                for method, projected in sides.items():
+                    try:
+                        oracle._check_box(size, bound, budget, method)
+                    except ResourceBudgetError:
+                        assert max(projected) > budget, (size, bound, budget, method)
+                        refused += 1
+    assert refused > 500
 
 
 def test_counts_stable_when_bound_raised():

@@ -1,6 +1,6 @@
 import pytest
 
-from quiddity import cli, formulas, verify
+from quiddity import census, cli, formulas, verify
 
 
 def test_load_golden_shape():
@@ -83,6 +83,16 @@ def test_fault_injection_through_cli(broken_coeff_Q, capsys):
     assert code == 1
     assert captured.err.startswith("first failure: golden:Q:formula")
     assert "FAIL" in captured.out
+
+
+def test_w_shift_fails_on_a_wrong_row_rule(monkeypatch):
+    # W(k, l) read off row k + l instead of k + l - 1
+    monkeypatch.setattr(census, "series_W",
+                        lambda k, l, order: census._build(order).row("W", k + l))
+    by_name = {r.name: r.passed for r in verify.identity_checks(order=16).results}
+    shifts = [name for name in by_name if name.startswith("identity:W-shift-")]
+    assert len(shifts) == 4
+    assert not any(by_name[name] for name in shifts)
 
 
 def test_direct_vs_mitm_labels_and_values():
