@@ -27,6 +27,8 @@ matches w = (1, 0) for every a_h, as -Z'.  Targets that share their
 second column up to sign share R*e2 up to sign, so each suffix costs
 one probe per distinct column.  A hit tests a_1's window of z'12 per
 target, then solves a_h and a_1 in closed form: neither is enumerated.
+The suffix's part of the bound test is taken once per hit, so each
+solution costs two floor divisions and one tally increment.
 
 Every route records what it finds in one tally per target,
 {(first, last, touched): solutions}, where touched says whether a
@@ -41,21 +43,26 @@ a head and a tail, folded into the targets with one matrix product,
 since m_n(head + rest + tail) = m_n(tail) * m_n(rest) * m_n(head); the
 tally keys and listings get them back afterwards.  The split h of the
 rest is then chosen where the table and the probes of the sweep
-balance.
+balance, from running products of the component widths, so a plan
+takes time linear in the length of the box.
 
 Every route walks its box with one odometer, _iter_runs, which yields
 each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
 each step along a run adds the second row of the product to its first,
-and a fixed vector to each probe of _join.  _sweep partitions the suffix
-sweep by its first digit, runs the partitions in a fork pool capped at
-the CPU count, and merges them.
+a fixed increment to each packed entry of _build_table and a fixed
+vector to each probe of _join.  _sweep partitions the suffix sweep by
+its first digit, runs the partitions in a fork pool capped at the CPU
+count, and merges them.
 
 The direct route, the reference the join is checked against, shares
 only _iter_runs with the join (test_iter_runs_odometer and
 test_direct_route_matches_naive_enumeration check both against m_n
-over every tuple of the box): it looks each product of the box up
-among all targets and their negations, skipping runs whose second
-row, which every product of the run shares, is no target's up to sign.
+over every tuple of the box).  It walks the box without its last
+component a and steps that box's innermost digit b inline: the first
+row of the product over (..., b) is the second row of every product
+over (..., b, a), so a b whose row is no target's second row up to
+sign is skipped before the run of a, and only the products of the
+rest are looked up among all targets and their negations.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
@@ -65,11 +72,12 @@ the usual saturation sanity signal.
 """
 
 import math
-import multiprocessing
 import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple
 
 from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
@@ -213,11 +221,14 @@ def _check_box(free, bound, budget, method):
     Each free component multiplies the side it falls in by bound >= 2, so
     a side within the budget holds fewer than budget.bit_length() of them.
     The direct route has one side, the whole box; the join has two, the
-    table and the sweep, which leave out a_1 and a_h.  A box that passes
-    still meets _check_budget, which names the side and its exact size.
+    table and the sweep, which leave out a_1 and a_h.  At bound 1 every
+    side is one tuple, but every route still keeps a list per component,
+    so a box of more free components than the budget is refused.  A box
+    that passes still meets _check_budget, which names the side and its
+    exact size.
     """
     sides, need = (1, free) if method == "direct" else (2, free - 2)
-    if bound > 1 and need > sides * (budget.bit_length() - 1):
+    if (need > sides * (budget.bit_length() - 1)) if bound > 1 else free > budget:
         raise ResourceBudgetError(
             f"the search box has too many free components for the table budget "
             f"of {budget}; raise max_table_entries or constrain components"
@@ -291,35 +302,46 @@ def _build_table(lows, highs, bound):
     widths (cbits, shift, limit) from the box: limit = prod(hi + 1) bounds
     every |entry| of Z', so the fields never overlap, and the ints sort by
     z'21.  code is twice the odometer index of the digits, plus one when a
-    digit reaches the bound.  A one-entry bucket is the bare int; a key's
+    digit reaches the bound.  Along a run q steps by s and code by 2, so
+    the entries of Z' and of -Z' step by (s << cbits) + 2 and
+    2 - (s << cbits), and the touched bits come from one of two per-box
+    lists, picked once per run from the outer digits.  A one-entry bucket
+    is the bare int, stored by the one setdefault of a new key; a key's
     second entry makes a list, sorted into a tuple at the end.
     """
     cbits = _projected(lows, highs).bit_length() + 1
     limit = math.prod(hi + 1 for hi in highs)
     shift = cbits + limit.bit_length() + 1
     table = {}
-    tget = table.get
+    setdefault = table.setdefault
     grown = []
     lo, hi = (lows[-1], highs[-1]) if lows else (0, 0)
+    # the touched bit along a run: 1 throughout when an outer digit reaches the bound
+    ones, inner = [1] * (hi - lo + 1), [int(digit >= bound) for digit in range(lo, hi + 1)]
     code = 0
     for digits, (r, s, x, y) in _iter_runs(lows, highs):
-        outer = max(digits[:-1], default=0) >= bound
+        bits = ones if max(digits[:-1], default=0) >= bound else inner
         p, q = lo * r - x, lo * s - y
-        for digit in range(lo, hi + 1):
+        # the entries of Z' and of -Z' without their touched bit
+        pos = (r << shift) + ((q + limit) << cbits) + code
+        neg = (-r << shift) + ((limit - q) << cbits) + code
+        up, down = (s << cbits) + 2, 2 - (s << cbits)
+        code += 2 * len(bits)
+        for bit in bits:
             if p > 0:
-                key, entry = p * p + r % p, (r << shift) + ((q + limit) << cbits)
+                key, entry = p * p + r % p, pos + bit
             elif p:
-                key, entry = p * p - r % p, (-r << shift) + ((limit - q) << cbits)
+                key, entry = p * p - r % p, neg + bit
             else:
-                key, entry = _ZERO_KEY, (1 << shift) + ((s * r + limit) << cbits)
-            entry += code + (outer or digit >= bound)
-            code += 2
+                # r = +/-1 and q = -r, so r*Z' has z'21 = 1 and z'22 = r*s
+                key, entry = _ZERO_KEY, (pos if r > 0 else neg) + ((r * s + 1) << cbits) + bit
             p += r
-            q += s
-            bucket = tget(key)
-            if bucket is None:
-                table[key] = entry
-            elif bucket.__class__ is int:
+            pos += up
+            neg += down
+            bucket = setdefault(key, entry)
+            if bucket is entry:  # a new key: codes differ, so no two entries are equal
+                continue
+            if bucket.__class__ is int:
                 table[key] = [bucket, entry]
                 grown.append(key)
             else:
@@ -358,7 +380,10 @@ def _join(search, slows, shighs):
 
     Each probe group steps its probe along every run of suffixes and
     signs it only on a hit, and a_1's window is tested before a_h is
-    solved.  Returns (tallies, listings): per target, the tally
+    solved.  The suffix's part of the bound test is taken once per hit,
+    so a solution costs two floor divisions and one tally increment, and
+    a listing decodes its table digits from code.  Returns
+    (tallies, listings): per target, the tally
     {(first, last, touched): solutions} and the solution tuples, or
     listings None.
     """
@@ -369,15 +394,7 @@ def _join(search, slows, shighs):
     zmask, cmask = (1 << shift - cbits) - 1, (1 << cbits) - 1
     (first_lo, first_hi), (ah_lo, ah_hi) = search.first, search.implicit
     slo, shi = (slows[-1], shighs[-1]) if slows else (0, 0)
-
-    def record(ti, first, ah, entry):
-        code = entry & cmask
-        touched = code & 1 or max(first, ah, last, *digits[:-1]) >= search.bound
-        # last = 0 only in the empty sweep's run, where a_h is the last digit
-        tallies[ti][first, last or ah, touched] += 1
-        if listings is not None:
-            suffix = (*digits[:-1], last) if last else ()
-            listings[ti].append((first, *_digits_at(code >> 1, *search.table_box), ah, *suffix))
+    bound, table_box = search.bound, search.table_box
 
     for digits, (r, s, u, v) in _iter_runs(slows, shighs):
         # the run's suffixes are (last*r - u, last*s - v, r, s)
@@ -398,6 +415,10 @@ def _join(search, slows, shighs):
                 sign = 1 if y > 0 or (y == 0 and x > 0) else -1
                 p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
                 bucket = (bucket,) if bucket.__class__ is int else bucket
+                # the suffix and its part of every solution's bound test; last = 0
+                # only in the empty sweep's run, where a_h is the last digit
+                suffix = (*digits[:-1], last) if last else ()
+                smax = max(suffix, default=0)
                 if wy:
                     # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the matches
                     # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket; then
@@ -406,22 +427,34 @@ def _join(search, slows, shighs):
                     bucket = bucket[bisect_left(bucket, (ah_lo * wy - wx) << shift):
                                     bisect_left(bucket, (ah_hi * wy - wx + 1) << shift)]
                     for ti, ta, tc in members:
+                        tally = tallies[ti]
                         # r1 and z = z'12 + limit, the packed field, both carry limit
                         r1 = sign * (r * ta - p * tc) + limit
                         low, high = r1 - first_hi * wy, r1 - first_lo * wy
                         for entry in bucket:
                             if low <= (z := entry >> cbits & zmask) <= high:
-                                record(ti, (r1 - z) // wy, (wx + (entry >> shift)) // wy, entry)
+                                first, ah = (r1 - z) // wy, (wx + (entry >> shift)) // wy
+                                tally[first, last or ah,
+                                      entry & 1 or max(first, ah, smax) >= bound] += 1
+                                if listings is not None:
+                                    listings[ti].append((first, *_digits_at(
+                                        (entry & cmask) >> 1, *table_box), ah, *suffix))
                 else:
                     # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
                     # whose Z*e2 = (a_h + z'22, 1); the first row makes a_1 + a_h = r1 - z'22
                     for ti, ta, tc in members:
+                        tally = tallies[ti]
                         r1 = sign * (q * tc - s * ta) + limit
                         for entry in bucket:
                             both = r1 - (entry >> cbits & zmask)
                             lo, hi = max(ah_lo, both - first_hi), min(ah_hi, both - first_lo)
                             for ah in range(lo, hi + 1):
-                                record(ti, both - ah, ah, entry)
+                                first = both - ah
+                                tally[first, last or ah,
+                                      entry & 1 or max(first, ah, smax) >= bound] += 1
+                                if listings is not None:
+                                    listings[ti].append((first, *_digits_at(
+                                        (entry & cmask) >> 1, *table_box), ah, *suffix))
     return tallies, listings
 
 
@@ -453,6 +486,8 @@ def _sweep(search, workers):
     pool_size = min(workers, len(values), os.cpu_count() or 1)
     _WORKER_CTX = search
     try:
+        if pool_size > 1:
+            import multiprocessing  # only here: no serial run pays for the import
         if pool_size > 1 and "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(pool_size) as pool:
                 parts = pool.map(_join_partition_task, values)
@@ -506,10 +541,13 @@ def _plan(size, bound, fixed, target_rows):
             a, b, c, d = -a, -b, -c, -d
         by_column.setdefault((b, d), []).append((ti, a, c))
     groups = [(b, d, members) for (b, d), members in by_column.items()]
+    # tables[k] is the size of a table over lows[1:k + 1], sweeps[k] of a sweep over lows[k:]
+    widths = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    tables = list(accumulate(widths[1:-1], mul, initial=1))
+    sweeps = list(accumulate(reversed(widths), mul, initial=1))[::-1]
 
     def cost(h):
-        table = _projected(lows[1:h - 1], highs[1:h - 1])
-        return max(table, len(groups) * _projected(lows[h:], highs[h:])), table
+        return max(tables[h - 2], len(groups) * sweeps[h]), tables[h - 2]
 
     return head, tail, lows, highs, min(range(2, len(lows) + 1), key=cost), groups
 
@@ -544,12 +582,13 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
 def _solve_direct(target_rows, lows, highs, bound, want_list):
     """Plain full enumeration; the reference the join is checked against.
 
-    One walk over the box serves all targets: each product is looked up
-    in a dict from the target entry rows and their negations to target
-    indices, so targets equal up to sign are all credited.  The walk
-    goes one run of the innermost digit at a time, and every product of
-    a run has the run's second row, so a run whose second row is no
-    target's, up to sign, holds no solution and is skipped whole.
+    One walk serves all targets: each product is looked up in a dict
+    from the target entry rows and their negations to target indices, so
+    targets equal up to sign are all credited.  The walk covers the box
+    without its last digit a, stepping that box's last digit b inline;
+    every product over (..., b, a) has the first row of the product over
+    (..., b) as its second row, so a b whose row is no target's second
+    row up to sign holds no solution and its run of a is skipped whole.
     Returns (tallies, listings) like _sweep, with the solutions in
     ascending order.
     """
@@ -562,19 +601,28 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     listings = [[] for _ in target_rows] if want_list else None
     hget = hits.get
     lo, hi = lows[-1], highs[-1]
-    for digits, (r, s, x, y) in _iter_runs(lows, highs):
-        if (r, s) not in second_rows:
-            continue
-        for a in range(lo, hi + 1):
-            matched = hget((a * r - x, a * s - y, r, s))
-            if matched is None:
-                continue
-            found = (*digits[:-1], a)
-            key = (found[0], a, max(found) >= bound)
-            for ti in matched:
-                tallies[ti][key] += 1
-                if listings is not None:
-                    listings[ti].append(found)
+    # b is the innermost digit of the shortened box; in the empty one it is
+    # the virtual 0 of _iter_runs, whose one product is the identity
+    blo, bhi = (lows[-2], highs[-2]) if len(lows) > 1 else (0, 0)
+    for digits, (r, s, x, y) in _iter_runs(lows[:-1], highs[:-1]):
+        # the products over (..., b) are (b*r - x, b*s - y, r, s), and
+        # (b*r - x, b*s - y) is the second row of every product over (..., b, a)
+        p, q = blo * r - x, blo * s - y
+        for b in range(blo, bhi + 1):
+            if (p, q) in second_rows:
+                prefix = (*digits[:-1], b) if digits else ()
+                for a in range(lo, hi + 1):
+                    matched = hget((a * p - r, a * q - s, p, q))
+                    if matched is None:
+                        continue
+                    found = (*prefix, a)
+                    key = (found[0], a, max(found) >= bound)
+                    for ti in matched:
+                        tallies[ti][key] += 1
+                        if listings is not None:
+                            listings[ti].append(found)
+            p += r
+            q += s
     return tallies, listings
 
 

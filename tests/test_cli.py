@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -173,6 +176,21 @@ def test_oversized_box_is_refused_before_any_search(capsys):
         assert (code, out) == (3, ""), size
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
         assert "budget" in err
+
+
+def test_bound_1_boxes_of_any_length():
+    # at bound 1 a box holds one tuple, but each route keeps a list per
+    # component: past the budget in length it exits 3 at once, and within
+    # it the plan takes linear time (elem(1)^6 = Id, so the one tuple
+    # (1, ..., 1) of length 100002 is a solution)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for size, code, out in ((str(10 ** 20), 3, ""),
+                            ("100002", 0, "Id,100002,1,1,1,False\n")):
+        result = subprocess.run(
+            [sys.executable, "-m", "quiddity", "oracle", "--target", "Id", "--size", size,
+             "--bound", "1"], env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stdout.partition("\n")[2]) == (code, out), result
+        assert result.stderr.count("\n") == (code == 3), result.stderr
 
 
 def test_output_is_deterministic(capsys):

@@ -1,4 +1,8 @@
 import itertools
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -340,9 +344,8 @@ def test_workers_fall_back_to_serial_without_fork(monkeypatch, capsys):
         raise ValueError(f"cannot find context for {method!r}")
 
     serial = survey(7)
-    monkeypatch.setattr(oracle.multiprocessing, "get_all_start_methods",
-                        lambda: ["spawn"])
-    monkeypatch.setattr(oracle.multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
     assert survey(7, workers=2) == serial
     assert cli.main(["oracle", "--target", "Id", "--size", "8",
                      "--workers", "2"]) == 0
@@ -372,8 +375,8 @@ def test_fork_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     query = dict(target="Id", size=6, list_solutions=True, method="mitm")
     serial = solve(OracleQuery(**query))
-    monkeypatch.setattr(oracle.multiprocessing, "get_all_start_methods", lambda: ["fork"])
-    monkeypatch.setattr(oracle.multiprocessing, "get_context", lambda method: FakeContext)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     # 6 first-digit partitions: 2000 workers get a pool of two
     assert solve(OracleQuery(workers=2000, **query)) == serial
@@ -383,6 +386,16 @@ def test_fork_pool_is_capped_at_the_cpu_count(monkeypatch):
         monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
         assert solve(OracleQuery(workers=2000, **query)) == serial
     assert sizes == [2]
+
+
+def test_serial_runs_never_import_multiprocessing():
+    # a fresh interpreter, since this one has imported it for the tests above
+    code = ("import sys\n"
+            "from quiddity import cli, oracle\n"
+            "oracle.survey(6)\n"
+            "assert 'multiprocessing' not in sys.modules, 'imported'\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oracle.__file__)))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_mitm_listings_are_re_verified(monkeypatch):
@@ -673,6 +686,10 @@ def test_direct_route_matches_naive_enumeration():
         for bound in (2, 3, size + 1):
             pin_sets = [{}] + [{pos: value} for pos in range(1, size + 1)
                                for value in (1, bound + 1)]
+            # the last two pinned together fix the innermost digit of the
+            # shortened box the direct route walks
+            pin_sets += [{size - 1: value, size: value} for value in (1, bound + 1)
+                         if size > 1]
             for pins in pin_sets:
                 lows, highs = oracle._box(size, bound, pins)
                 box = [(t, matrices.m_n(t)) for t in itertools.product(
@@ -688,7 +705,28 @@ def test_direct_route_matches_naive_enumeration():
                     assert res.by_first_last == Counter((t[0], t[-1]) for t in found)
                     assert res.by_last == Counter(t[-1] for t in found)
                     solves += 1
-    assert solves == 1155
+    assert solves == 1419
+
+
+def test_direct_route_walks_the_shortened_box(monkeypatch):
+    # the second row of the products over (..., b, a) is read off the run
+    # of b, so the walk covers every component but the last: 7^6 tuples of
+    # the shortened box at size 7, for the nine targets at once
+    walked = []
+    real = oracle._iter_runs
+
+    def counting(lows, highs):
+        width = highs[-1] - lows[-1] + 1 if lows else 1
+        for run in real(lows, highs):
+            walked.append(width)
+            yield run
+
+    monkeypatch.setattr(oracle, "_iter_runs", counting)
+    targets = list(matrices.TARGETS) + ["[[2,3],[1,2]]"]
+    direct = survey(7, targets=targets, method="direct")
+    assert sum(walked) == 7 ** 6
+    monkeypatch.undo()
+    assert direct == survey(7, targets=targets, method="mitm")
 
 
 def test_table_touched_bits_per_run():
