@@ -25,7 +25,9 @@ sign-normalized to z'11 >= 0, as one int per entry, bucketed by
 bisection over a_h's range.  A Z' with z'11 = 0 has z'21 = 1; it
 matches w = (1, 0) for every a_h, as -Z'.  Targets that share their
 second column up to sign share R*e2 up to sign, so each suffix costs
-one probe per distinct column.  A hit tests a_1's window of z'12 per
+one probe per distinct column; the probe of column (1, 0) is the same
+for every suffix of a run, so a run whose first lookup of it misses
+looks it up no more.  A hit tests a_1's window of z'12 per
 target, then solves a_h and a_1 in closed form: neither is enumerated.
 The suffix's part of the bound test is taken once per hit, so each
 solution costs two floor divisions and one tally increment.
@@ -45,6 +47,13 @@ tally keys and listings get them back afterwards.  The split h of the
 rest is then chosen where the table and the probes of the sweep
 balance, from running products of the component widths, so a plan
 takes time linear in the length of the box.
+
+Where the table would still hold more entries than the sweep makes
+probes, as at odd sizes in survey, the table is semi-joined to the
+sweep: the sweep is walked once, by _join itself, to collect the keys
+its probes look up, and the table stores only the entries under those
+keys.  survey(11) then stores 1,828 of 161,051 entries, and survey(13)
+12,682 of 4,826,809.  The budget still counts the full table box.
 
 Every route walks its box with one odometer, _iter_runs, which yields
 each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
@@ -78,6 +87,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m_n, parse_target
@@ -292,8 +302,8 @@ def _summary(tally):
     return count, touches, dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
-def _build_table(lows, highs, bound):
-    """(table, widths): every product Z' over the table box, bucketed for the probes of _join.
+def _build_table(lows, highs, bound, keep=None):
+    """(table, widths): the products Z' over the table box, bucketed for the probes of _join.
 
     Z' = (p, q, r, s), sign-normalized to p >= 0 (-Z' is never built), is
     keyed by (p, r mod p) as the one int p^2 + (r mod p); a Z' with p = 0
@@ -308,6 +318,10 @@ def _build_table(lows, highs, bound):
     lists, picked once per run from the outer digits.  A one-entry bucket
     is the bare int, stored by the one setdefault of a new key; a key's
     second entry makes a list, sorted into a tuple at the end.
+
+    With a set keep, only the entries under its keys are stored (the
+    semi-join of _solve_mitm): each kept bucket equals the full build's,
+    and codes still count every tuple of the box.
     """
     cbits = _projected(lows, highs).bit_length() + 1
     limit = math.prod(hi + 1 for hi in highs)
@@ -338,6 +352,8 @@ def _build_table(lows, highs, bound):
             p += r
             pos += up
             neg += down
+            if keep is not None and key not in keep:
+                continue
             bucket = setdefault(key, entry)
             if bucket is entry:  # a new key: codes differ, so no two entries are equal
                 continue
@@ -379,7 +395,8 @@ def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
     Each probe group steps its probe along every run of suffixes and
-    signs it only on a hit, and a_1's window is tested before a_h is
+    signs it only on a hit (a group with d = 0 does not step, so its
+    first miss ends its run), and a_1's window is tested before a_h is
     solved.  The suffix's part of the bound test is taken once per hit,
     so a solution costs two floor divisions and one tally increment, and
     a listing decodes its table digits from code.  Returns
@@ -410,7 +427,10 @@ def _join(search, slows, shighs):
                 # y^2 + |-x mod y| is the key of w signed so that y > 0, whatever y's sign
                 bucket = tget(y * y + abs(-x % y) if y else _ZERO_KEY)
                 if bucket is None:
-                    continue
+                    if d:
+                        continue
+                    # d = 0 steps by (0, 0): no suffix of the run finds this probe
+                    break
                 # Z*e1 = (wx, wy) is needed, w signed so that wy > 0, or wy = 0 and wx > 0
                 sign = 1 if y > 0 or (y == 0 and x > 0) else -1
                 p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
@@ -558,16 +578,29 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     The join searches the box _plan leaves for m_n(rest) = +/-R with
     R = m_n(tail)^-1 * target * m_n(head)^-1; tally keys and listings
     then get the pinned head and tail back.
+
+    When the table would hold more entries than the sweep makes probes,
+    the sweep is first walked once, serially and before any fork, by
+    _join itself against a stand-in table whose get is the add of a key
+    set; add returns None, so no hit path runs.  The table then stores
+    only the entries under those keys, the only ones a probe can find (a
+    semi-join, after Bernstein and Chiu, J. ACM 1981).  The set holds at
+    most one key per probe, so fewer keys than the full table has entries.
     """
     head, tail, lows, highs, h, groups = _plan(size, bound, fixed, target_rows)
     table_box = (tuple(lows[1:h - 1]), tuple(highs[1:h - 1]))
     sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
     _check_budget(_projected(*table_box), budget, "the middle table")
     _check_budget(_projected(*sweep_box), budget, "the suffix sweep")
-    search = _Search(*_build_table(*table_box, bound), groups, len(target_rows),
-                     (lows[0], highs[0]), table_box, (lows[h - 1], highs[h - 1]), sweep_box,
-                     bound, want_list)
-    tallies, listings = _sweep(search, workers)
+    # no table yet: only a hit reads the widths, and the key pass makes none
+    search = _Search(None, (0, 0, 0), groups, len(target_rows), (lows[0], highs[0]),
+                     table_box, (lows[h - 1], highs[h - 1]), sweep_box, bound, want_list)
+    keep = None
+    if _projected(*table_box) > len(groups) * _projected(*sweep_box):
+        keep = set()
+        _join(search._replace(table=SimpleNamespace(get=keep.add)), *sweep_box)
+    table, widths = _build_table(*table_box, bound, keep)
+    tallies, listings = _sweep(search._replace(table=table, widths=widths), workers)
     pinned_touch = max(head + tail, default=0) >= bound
     for ti, inner in enumerate(tallies):
         tallies[ti] = Counter()

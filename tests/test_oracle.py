@@ -637,7 +637,9 @@ def test_probe_sign_is_chosen_on_the_second_entry():
 
 def test_survey_probes_once_per_target_column(monkeypatch):
     # up to sign the eight targets have four second columns, (0,1), (1,0),
-    # (1,1) and (1,-1), so each suffix costs four table lookups, not eight
+    # (1,1) and (1,-1), so each suffix costs at most four table lookups, not
+    # eight; the probe of (1,0) is the same for every suffix of a run, so a
+    # run whose first lookup of it misses looks it up no more
     lookups = []
 
     class CountingTable(dict):
@@ -656,8 +658,10 @@ def test_survey_probes_once_per_target_column(monkeypatch):
     groups = oracle._plan(8, 8, {}, rows)[5]
     assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
     sv = survey(8)
-    # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes
-    assert len(lookups) == 4 * 8 ** 3
+    # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes in 8^2 runs;
+    # the probe of (1,0) is in the table in 15 of those runs, whose other 7
+    # suffixes look it up too
+    assert len(lookups) == 3 * 8 ** 3 + 8 ** 2 + 15 * 7
     assert sv.counts == {name: census.count_solutions(name, 8) for name in matrices.TARGETS}
 
 
@@ -797,18 +801,107 @@ def _naive_table(lows, highs, bound):
     return {key: tuple(sorted(bucket)) for key, bucket in table.items()}
 
 
+# the empty box, pinned digits above the bound (innermost and outer), runs
+# whose z'11 changes sign with z'11 = 0 entries among them, and a bound-2
+# box of 2^14 entries whose buckets hold hundreds of them
+_TABLE_BOXES = (([], [], 3), ([1, 5], [3, 5], 3), ([1, 5, 1], [3, 5, 2], 3),
+                ([1] * 3, [3] * 3, 3), ([1] * 14, [2] * 14, 2))
+
+
 def test_table_matches_naive_build():
-    # the empty box, pinned digits above the bound (innermost and outer), runs
-    # whose z'11 changes sign with z'11 = 0 entries among them, and a bound-2
-    # box of 2^14 entries whose buckets hold hundreds of them
     runs = [[a * r - x for a in range(1, 4)] for _, (r, _, x, _) in
             oracle._iter_runs([1] * 3, [3] * 3)]
     assert any(min(p) < 0 < max(p) for p in runs) and any(0 in p for p in runs)
-    for lows, highs, bound in (([], [], 3), ([1, 5], [3, 5], 3), ([1, 5, 1], [3, 5, 2], 3),
-                               ([1] * 3, [3] * 3, 3), ([1] * 14, [2] * 14, 2)):
+    for lows, highs, bound in _TABLE_BOXES:
         table = _decoded(*oracle._build_table(lows, highs, bound))
         assert table == _naive_table(lows, highs, bound), (lows, highs)
     assert len(table) < 2 ** 14 and max(map(len, table.values())) >= 100
+
+
+def test_filtered_table_is_the_full_table_on_its_keys():
+    # no key, every other key of the full build (the zero key among them where
+    # the box has one) with keys no entry has, and every key: each kept bucket
+    # is the full build's own bare int or tuple, and no other key is stored
+    for lows, highs, bound in _TABLE_BOXES:
+        full, widths = oracle._build_table(lows, highs, bound)
+        keys = sorted(full)
+        absent = {max(keys) + 1, 2 ** 80} | (set(range(max(keys))) - set(keys))
+        for keep in (set(), set(keys[::2]) | {oracle._ZERO_KEY} | absent, set(keys)):
+            table = oracle._build_table(lows, highs, bound, keep)
+            assert table == ({key: full[key] for key in keys if key in keep}, widths)
+    assert oracle._ZERO_KEY in full and any(type(bucket) is tuple for bucket in full.values())
+
+
+def test_filtered_mitm_matches_direct(monkeypatch):
+    # searches whose table side is the larger, so the sweep's keys filter the
+    # table: surveys of the eight names and of nine targets, at bound 2 and 3
+    # and the default, and pinned batches, with both ends folded or the last
+    # pinned above the bound; count, touches, both histograms and listings
+    # equal the direct route's at one and two workers
+    filtered = []
+    real = oracle._build_table
+
+    def recording(lows, highs, bound, keep=None):
+        filtered.append(keep is not None)
+        return real(lows, highs, bound, keep)
+
+    monkeypatch.setattr(oracle, "_build_table", recording)
+    names = list(matrices.TARGETS)
+    nine = names + ["[[2,3],[1,2]]"]
+    cases = [(names, 5, None, {}), (names, 7, None, {}), (nine, 7, None, {}),
+             (nine, 5, 2, {}), (nine, 6, 3, {}), (nine, 9, 2, {}),
+             (nine, 6, None, {2: 2}), (nine, 7, None, {2: 2, 3: 1}), (nine, 8, None, {4: 2}),
+             (nine, 8, None, {1: 2, 8: 3}), (nine, 9, 3, {9: 4})]
+    for targets, size, bound, pins in cases:
+        normalized = [oracle._normalize_target(t) for t in targets]
+        direct = oracle._run(normalized, size, bound, pins, "direct", 1,
+                             oracle.DEFAULT_MAX_TABLE_ENTRIES, True)
+        for workers in (1, 2):
+            filtered.clear()
+            mitm = oracle._run(normalized, size, bound, pins, "mitm", workers,
+                               oracle.DEFAULT_MAX_TABLE_ENTRIES, True)
+            assert filtered == [True], (size, bound, pins)
+            assert list(map(_summary, mitm)) == list(map(_summary, direct)), (size, bound, pins)
+        if not pins:
+            assert survey(size, bound, workers=2, targets=targets) == survey(
+                size, bound, targets=targets, method="direct")
+    # size 9 at the default bound, against the join with its table unfiltered
+    for targets in (names, nine):
+        normalized = [oracle._normalize_target(t) for t in targets]
+        filtered.clear()
+        mitm = [oracle._run(normalized, 9, None, {}, "mitm", workers,
+                            oracle.DEFAULT_MAX_TABLE_ENTRIES, True) for workers in (1, 2)]
+        assert filtered == [True, True]
+        monkeypatch.setattr(oracle, "_build_table", lambda *args: real(*args[:3]))
+        full = oracle._run(normalized, 9, None, {}, "mitm", 1, oracle.DEFAULT_MAX_TABLE_ENTRIES, True)
+        monkeypatch.setattr(oracle, "_build_table", recording)
+        assert [list(map(_summary, run)) for run in mitm] == [list(map(_summary, full))] * 2
+    assert [res.count for res in full[:8]] == [census.count_solutions(n, 9) for n in names]
+
+
+def test_filter_stores_only_the_probed_entries(monkeypatch):
+    # survey(9) keeps a table of 9^4 = 6,561 entries against a sweep of 9^3
+    # suffixes with four probes each; the filtered build stores exactly the
+    # full build's entries under the sweep's keys, 276 of them under 36 keys
+    built = []
+    real = oracle._build_table
+
+    def recording(lows, highs, bound, keep=None):
+        built.append((lows, highs, bound, keep))
+        return real(lows, highs, bound, keep)
+
+    monkeypatch.setattr(oracle, "_build_table", recording)
+    assert survey(9).counts == {name: census.count_solutions(name, 9) for name in matrices.TARGETS}
+    (lows, highs, bound, keep), = built
+    assert keep is not None and len(keep) <= 4 * 9 ** 3
+    table, full = real(lows, highs, bound, keep)[0], real(lows, highs, bound)[0]
+
+    def entries(buckets):
+        return sum(1 if type(bucket) is int else len(bucket) for bucket in buckets)
+
+    assert entries(full.values()) == oracle._projected(lows, highs) == 9 ** 4
+    assert table == {key: full[key] for key in keep if key in full}
+    assert (entries(table.values()), len(table)) == (276, 36)
 
 
 def test_packed_fields_fit_pinned_digits_of_any_size():
