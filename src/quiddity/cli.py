@@ -2,7 +2,8 @@
 exhaustive oracle, and the full verification suite.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
-error, 3 resource budget exceeded.
+error, 3 resource budget exceeded, 4 any other failure, such as a fork
+that fails, reported as one line "error: <type>: <message>".
 """
 
 import argparse
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_CRASH = 4
 
 
 def _print_table(table, output_format):
@@ -185,6 +187,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other failure, such as a fork that fails, is no mismatch
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return EXIT_CRASH
 
 
 def run():

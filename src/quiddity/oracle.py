@@ -40,13 +40,14 @@ checks the run, takes a route, re-multiplies every mitm listing
 through m_n and has _summary derive the count, the bound touches and
 both histograms from each tally, so no route computes them itself.
 
-_plan lays out each search.  Pinned components come off both ends as
-a head and a tail, folded into the targets with one matrix product,
-since m_n(head + rest + tail) = m_n(tail) * m_n(rest) * m_n(head); the
-tally keys and listings get them back afterwards.  The split h of the
-rest is then chosen where the table and the probes of the sweep
-balance, from running products of the component widths, so a plan
-takes time linear in the length of the box.
+_plan lays out and prices each search, once.  While more than three
+components remain, pinned ones come off both ends as a head and a tail,
+folded into the targets, since m_n(head + rest + tail) =
+m_n(tail) * m_n(rest) * m_n(head); the tally keys and listings get them
+back.  The split h of the rest balances the table against the probes of
+the sweep, from running products of the component widths, so a plan
+takes time linear in the length of the box, and it always leaves the
+sweep a digit.
 
 Where the table would still hold more entries than the sweep makes
 probes, as at odd sizes in survey, the table is semi-joined to the
@@ -66,12 +67,7 @@ count, and merges them.
 The direct route, the reference the join is checked against, shares
 only _iter_runs with the join (test_iter_runs_odometer and
 test_direct_route_matches_naive_enumeration check both against m_n
-over every tuple of the box).  It walks the box without its last
-component a and steps that box's innermost digit b inline: the first
-row of the product over (..., b) is the second row of every product
-over (..., b, a), so a b whose row is no target's second row up to
-sign is skipped before the run of a, and only the products of the
-rest are looked up among all targets and their negations.
+over every tuple of the box); _solve_direct says which runs it skips.
 
 Completeness depends on the search box: only components in 1..bound
 are enumerated (constrained positions may sit above the bound).
@@ -85,7 +81,7 @@ import os
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -111,7 +107,7 @@ class OracleQuery:
     constraints  {position: value} with 1-based positions; pinned values
                  may exceed the bound
     method       "auto" (direct product up to size 3, then meet in the
-                 middle), "direct", or "mitm"
+                 middle), "direct", or "mitm" (size >= 3)
     """
 
     target: object
@@ -182,7 +178,8 @@ def _iter_runs(lows, highs):
     stays lows[-1]: a caller that keeps it must copy it.  A step rebuilds
     only the levels right of the digit that moved.  The empty box is one
     run, [] with elem(0)^-1 = (0, 1, -1, 0), whose one product is the
-    identity at a = 0.
+    identity at a = 0; only an empty table and the direct route at size
+    1 walk it, since every mitm plan keeps a sweep digit.
     """
     length = len(lows)
     if length == 0:
@@ -190,16 +187,16 @@ def _iter_runs(lows, highs):
         return
     digits = list(lows)
     last = length - 1
-    # mats[j] is the product over digits[:j + 1]
-    mats = [None] * last
+    # mats[j] is the product over digits[:j], the identity at j = 0
+    mats = [(1, 0, 0, 1)] * length
     i = 0
     while True:
-        prev = mats[i - 1] if i > 0 else (1, 0, 0, 1)
+        prev = mats[i]
         for j in range(i, last):
             a = digits[j]
             p, q, r, s = prev
             prev = (a * p - r, a * q - s, p, q)
-            mats[j] = prev
+            mats[j + 1] = prev
         yield digits, prev
         i = last - 1
         while i >= 0 and digits[i] >= highs[i]:
@@ -377,31 +374,31 @@ def _digits_at(index, lows, highs):
 
 
 class _Search(NamedTuple):
-    """One mitm search as _plan lays it out; _sweep hands it to every partition."""
+    """One mitm search: _plan lays it out, _solve_mitm adds the table, _sweep hands it on."""
 
-    table: dict          # _build_table over table_box
-    widths: tuple        # (cbits, shift, limit) of its packed entries
     groups: list         # _plan's (b, d, members) probe groups
     targets: int         # number of targets, one tally each
     first: tuple         # (lo, hi) of a_1
     table_box: tuple     # (lows, highs) of a_2..a_(h-1)
     implicit: tuple      # (lo, hi) of a_h
-    sweep_box: tuple     # (lows, highs) of a_(h+1)..a_m
+    sweep_box: tuple     # (lows, highs) of a_(h+1)..a_m, never empty
     bound: int
-    want_list: bool
+    table: dict = None   # _build_table over table_box
+    widths: tuple = (0, 0, 0)  # (cbits, shift, limit) of its packed entries
+    want_list: bool = False
 
 
 def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
+    Every suffix holds a digit, the box's last, which keys the tally.
     Each probe group steps its probe along every run of suffixes and
     signs it only on a hit (a group with d = 0 does not step, so its
     first miss ends its run), and a_1's window is tested before a_h is
     solved.  The suffix's part of the bound test is taken once per hit,
     so a solution costs two floor divisions and one tally increment, and
-    a listing decodes its table digits from code.  Returns
-    (tallies, listings): per target, the tally
-    {(first, last, touched): solutions} and the solution tuples, or
+    a listing decodes its table digits from code.  Returns (tallies, listings): per target, the
+    tally {(first, last, touched): solutions} and the solution tuples, or
     listings None.
     """
     tallies = [Counter() for _ in range(search.targets)]
@@ -410,7 +407,7 @@ def _join(search, slows, shighs):
     cbits, shift, limit = search.widths
     zmask, cmask = (1 << shift - cbits) - 1, (1 << cbits) - 1
     (first_lo, first_hi), (ah_lo, ah_hi) = search.first, search.implicit
-    slo, shi = (slows[-1], shighs[-1]) if slows else (0, 0)
+    slo, shi = slows[-1], shighs[-1]
     bound, table_box = search.bound, search.table_box
 
     for digits, (r, s, u, v) in _iter_runs(slows, shighs):
@@ -435,10 +432,9 @@ def _join(search, slows, shighs):
                 sign = 1 if y > 0 or (y == 0 and x > 0) else -1
                 p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
                 bucket = (bucket,) if bucket.__class__ is int else bucket
-                # the suffix and its part of every solution's bound test; last = 0
-                # only in the empty sweep's run, where a_h is the last digit
-                suffix = (*digits[:-1], last) if last else ()
-                smax = max(suffix, default=0)
+                # the suffix and its part of every solution's bound test
+                suffix = (*digits[:-1], last)
+                smax = max(suffix)
                 if wy:
                     # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the matches
                     # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket; then
@@ -454,7 +450,7 @@ def _join(search, slows, shighs):
                         for entry in bucket:
                             if low <= (z := entry >> cbits & zmask) <= high:
                                 first, ah = (r1 - z) // wy, (wx + (entry >> shift)) // wy
-                                tally[first, last or ah,
+                                tally[first, last,
                                       entry & 1 or max(first, ah, smax) >= bound] += 1
                                 if listings is not None:
                                     listings[ti].append((first, *_digits_at(
@@ -470,7 +466,7 @@ def _join(search, slows, shighs):
                             lo, hi = max(ah_lo, both - first_hi), min(ah_hi, both - first_lo)
                             for ah in range(lo, hi + 1):
                                 first = both - ah
-                                tally[first, last or ah,
+                                tally[first, last,
                                       entry & 1 or max(first, ah, smax) >= bound] += 1
                                 if listings is not None:
                                     listings[ti].append((first, *_digits_at(
@@ -482,12 +478,10 @@ _WORKER_CTX = None
 
 
 def _join_partition_task(value):
-    """_join over the sweep with its first digit set to value; an empty sweep is one task."""
+    """_join over the sweep with its first digit set to value."""
     search = _WORKER_CTX
-    slows, shighs = list(search.sweep_box[0]), list(search.sweep_box[1])
-    if slows:
-        slows[0] = shighs[0] = value
-    return _join(search, slows, shighs)
+    slows, shighs = search.sweep_box
+    return _join(search, (value, *slows[1:]), (value, *shighs[1:]))
 
 
 def _sweep(search, workers):
@@ -502,7 +496,7 @@ def _sweep(search, workers):
     """
     global _WORKER_CTX
     slows, shighs = search.sweep_box
-    values = range(slows[0], shighs[0] + 1) if slows else [None]
+    values = range(slows[0], shighs[0] + 1)
     pool_size = min(workers, len(values), os.cpu_count() or 1)
     _WORKER_CTX = search
     try:
@@ -527,31 +521,30 @@ def _sweep(search, workers):
 
 
 def _plan(size, bound, fixed, target_rows):
-    """(head, tail, lows, highs, h, groups): the layout of one mitm search.
+    """(search, head, tail, table_size, sweep_size): the layout of one mitm search.
 
-    Pinned components come off both ends while more than two remain;
-    head and tail hold their values, lows and highs the box left, and
-    each target folds to R = m_n(tail)^-1 * target * m_n(head)^-1.  The
-    folded targets are grouped by their second column up to sign:
-    groups lists (b, d, members), one probe each, where members holds
-    (index, a, c) for every target whose second column is +/-(b, d),
-    with (a, c) its first column under the sign that makes it (b, d).
+    Pinned components come off both ends while more than three remain
+    (size >= 3); head and tail hold their values, and each target folds
+    to R = m_n(tail)^-1 * target * m_n(head)^-1.  search.groups lists
+    (b, d, members), one probe per folded second column +/-(b, d), where
+    members holds (index, a, c) for its targets, (a, c) their first
+    column under the sign that makes it (b, d).
 
-    The box keeps its first component a_1 and its component a_h
-    (lows[h - 1]) for closed forms, a table over a_2..a_(h-1)
-    (lows[1:h - 1]) and a sweep over the rest (lows[h:]).  h makes the
-    larger of the table size and the sweep size times the number of
-    probes as small as possible, then the table, so a free box of size
-    m with one target takes h = m//2 + 1.
+    The m components left keep a_1 and a_h for closed forms, a table over
+    a_2..a_(h-1) and a sweep over a_(h+1)..a_m.  h in 2..m-1, so the sweep
+    keeps a digit, makes the larger of table_size and sweep_size times the
+    number of probes as small as possible, then the table: a free box of
+    size m with one target takes h = m//2 + 1.  The search has no table
+    yet and lists nothing.
     """
     start, stop = 1, size
-    while stop - start > 1 and start in fixed:
+    while stop - start > 2 and start in fixed:
         start += 1
-    while stop - start > 1 and stop in fixed:
+    while stop - start > 2 and stop in fixed:
         stop -= 1
     lows, highs = _box(size, bound, fixed)
     head, tail = tuple(lows[:start - 1]), tuple(lows[stop:])
-    lows, highs = lows[start - 1:stop], highs[start - 1:stop]
+    lows, highs = tuple(lows[start - 1:stop]), tuple(highs[start - 1:stop])
     head_inv = m_n(head).inverse() if head else IDENTITY
     tail_inv = m_n(tail).inverse() if tail else IDENTITY
     by_column = {}
@@ -569,7 +562,11 @@ def _plan(size, bound, fixed, target_rows):
     def cost(h):
         return max(tables[h - 2], len(groups) * sweeps[h]), tables[h - 2]
 
-    return head, tail, lows, highs, min(range(2, len(lows) + 1), key=cost), groups
+    h = min(range(2, len(lows)), key=cost)
+    search = _Search(groups, len(target_rows), (lows[0], highs[0]),
+                     (lows[1:h - 1], highs[1:h - 1]), (lows[h - 1], highs[h - 1]),
+                     (lows[h:], highs[h:]), bound)
+    return search, head, tail, tables[h - 2], sweeps[h]
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
@@ -577,7 +574,8 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
 
     The join searches the box _plan leaves for m_n(rest) = +/-R with
     R = m_n(tail)^-1 * target * m_n(head)^-1; tally keys and listings
-    then get the pinned head and tail back.
+    then get the pinned head and tail back.  Both budget checks and the
+    semi-join test read the side sizes _plan priced.
 
     When the table would hold more entries than the sweep makes probes,
     the sweep is first walked once, serially and before any fork, by
@@ -587,20 +585,17 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     semi-join, after Bernstein and Chiu, J. ACM 1981).  The set holds at
     most one key per probe, so fewer keys than the full table has entries.
     """
-    head, tail, lows, highs, h, groups = _plan(size, bound, fixed, target_rows)
-    table_box = (tuple(lows[1:h - 1]), tuple(highs[1:h - 1]))
-    sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
-    _check_budget(_projected(*table_box), budget, "the middle table")
-    _check_budget(_projected(*sweep_box), budget, "the suffix sweep")
-    # no table yet: only a hit reads the widths, and the key pass makes none
-    search = _Search(None, (0, 0, 0), groups, len(target_rows), (lows[0], highs[0]),
-                     table_box, (lows[h - 1], highs[h - 1]), sweep_box, bound, want_list)
+    search, head, tail, table_size, sweep_size = _plan(size, bound, fixed, target_rows)
+    _check_budget(table_size, budget, "the middle table")
+    _check_budget(sweep_size, budget, "the suffix sweep")
     keep = None
-    if _projected(*table_box) > len(groups) * _projected(*sweep_box):
+    if table_size > len(search.groups) * sweep_size:
+        # no table yet: only a hit reads the widths, and the key pass makes none
         keep = set()
-        _join(search._replace(table=SimpleNamespace(get=keep.add)), *sweep_box)
-    table, widths = _build_table(*table_box, bound, keep)
-    tallies, listings = _sweep(search._replace(table=table, widths=widths), workers)
+        _join(search._replace(table=SimpleNamespace(get=keep.add)), *search.sweep_box)
+    table, widths = _build_table(*search.table_box, bound, keep)
+    tallies, listings = _sweep(search._replace(table=table, widths=widths, want_list=want_list),
+                               workers)
     pinned_touch = max(head + tail, default=0) >= bound
     for ti, inner in enumerate(tallies):
         tallies[ti] = Counter()
@@ -663,7 +658,7 @@ def _check_run(size, bound, method, workers):
     """(bound, route) for a solve or survey; route is "direct" or "mitm".
 
     Raises ValueError for a size, bound or worker count that is not a
-    positive integer, an unknown method, or a route the size cannot take.
+    positive integer, an unknown method, or mitm below size 3.
     """
     bound = size if bound is None else bound
     for label, value in (("size", size), ("bound", bound), ("workers", workers)):
@@ -673,8 +668,8 @@ def _check_run(size, bound, method, workers):
         raise ValueError(f"method must be auto, direct or mitm, got {method!r}")
     if method == "auto":
         method = "direct" if size <= 3 else "mitm"
-    if method == "mitm" and size < 2:
-        raise ValueError("the meet-in-the-middle route needs size >= 2")
+    if method == "mitm" and size < 3:
+        raise ValueError("the meet-in-the-middle route needs size >= 3")
     return bound, method
 
 
@@ -702,7 +697,7 @@ def _run(targets, size, bound, constraints, method, workers, budget, want_list):
     return [
         SolutionSet(mat, name, size, bound, *_summary(tally), method,
                     _exhaustive(mat, size, bound), None if listed is None else tuple(listed))
-        for (mat, name), tally, listed in zip(targets, tallies, listings or [None] * len(targets))
+        for (mat, name), tally, listed in zip(targets, tallies, listings or repeat(None))
     ]
 
 

@@ -5,7 +5,7 @@ import sys
 import time
 from pathlib import Path
 
-from quiddity import cli
+from quiddity import cli, oracle
 
 RECORDED = Path(__file__).parent / "data" / "cli_outputs.json"
 
@@ -164,6 +164,18 @@ def test_resource_exhaustion_exit_3(capsys):
     code, _, err = run_cli(capsys, "oracle", "--target", "Id", "--size", "26")
     assert code == 3
     assert "budget" in err
+
+
+def test_crash_exits_4(capsys, monkeypatch):
+    # a failure that is neither a usage error nor a budget refusal, such as a
+    # fork that fails, is no verification mismatch: exit 4, one line, no traceback
+    def failing(*args, **kwargs):
+        raise OSError(12, "Cannot allocate memory")
+
+    monkeypatch.setattr(oracle, "survey", failing)
+    code, out, err = run_cli(capsys, "verify", "--max-size", "4")
+    assert (code, out) == (4, "")
+    assert err == "error: OSError: [Errno 12] Cannot allocate memory\n"
 
 
 def test_oversized_box_is_refused_before_any_search(capsys):

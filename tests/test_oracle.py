@@ -69,8 +69,8 @@ def test_counts_match_census():
 
 
 def test_direct_and_mitm_agree_on_everything():
-    # at sizes 2 and 3 the suffix after the middle is a single digit
-    for size in (2, 3, 5):
+    # at size 3 the table is empty and the sweep a single digit
+    for size in (3, 5):
         for name in matrices.TARGETS:
             a = _listing(name, size, method="direct")
             b = _listing(name, size, method="mitm")
@@ -146,8 +146,9 @@ def test_size_bound_method_validation():
         solve(OracleQuery(target="Id", size=4, bound=True))
     with pytest.raises(ValueError):
         solve(OracleQuery(target="Id", size=4, method="magic"))
-    with pytest.raises(ValueError):
-        solve(OracleQuery(target="Id", size=1, method="mitm"))
+    for size in (1, 2):
+        with pytest.raises(ValueError, match="needs size >= 3"):
+            solve(OracleQuery(target="Id", size=size, method="mitm"))
 
 
 def test_exhaustiveness_flag():
@@ -226,11 +227,9 @@ def test_box_refusal_spares_every_plan_in_budget():
     refused = 0
     for size in range(2, 41):
         for bound in (2, 3, size):
-            lows, highs = oracle._box(size, bound, {})
-            h = oracle._plan(size, bound, {}, identity)[4]
-            sides = {"direct": [oracle._projected(lows, highs)],
-                     "mitm": [oracle._projected(lows[1:h - 1], highs[1:h - 1]),
-                              oracle._projected(lows[h:], highs[h:])]}
+            sides = {"direct": [oracle._projected(*oracle._box(size, bound, {}))]}
+            if size >= 3:
+                sides["mitm"] = oracle._plan(size, bound, {}, identity)[3:]
             for budget in (1, 35, 36, 1000, oracle.DEFAULT_MAX_TABLE_ENTRIES):
                 for method, projected in sides.items():
                     try:
@@ -462,8 +461,9 @@ def test_survey_methods_agree_and_validate():
     assert survey(5) == direct
     with pytest.raises(ValueError):
         survey(5, method="magic")
-    with pytest.raises(ValueError):
-        survey(1, method="mitm")
+    for size in (1, 2):
+        with pytest.raises(ValueError):
+            survey(size, method="mitm")
 
 
 def test_targets_outside_sl2z_are_refused():
@@ -532,26 +532,48 @@ def test_pinned_ends_are_folded(monkeypatch):
 
 
 def test_plan_never_enlarges_a_side():
-    # every pin set at sizes 2..12, for one target: the planned table and
-    # sweep never exceed the larger side of the unpeeled box split in the
-    # middle without an implicit digit
+    # every pin set at sizes 3..12, for one target: the sweep keeps a digit,
+    # the sizes _plan returns are those of its boxes, and the planned table
+    # and sweep never exceed the larger side of the unpeeled box split in
+    # the middle without an implicit digit
     bound = 3
     identity = [matrices.IDENTITY.entries()]
-    for size in range(2, 13):
+    for size in range(3, 13):
         middle = (size + 1) // 2
         for mask in range(1 << size):
             fixed = {pos: 2 for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
-            head, tail, lows, highs, h, groups = oracle._plan(size, bound, fixed, identity)
-            assert len(lows) >= 2 and 2 <= h <= len(lows)
-            assert len(head) + len(lows) + len(tail) == size
-            assert len(groups) == 1
+            search, head, tail, table, sweep = oracle._plan(size, bound, fixed, identity)
+            table_lows, sweep_lows = search.table_box[0], search.sweep_box[0]
+            assert sweep_lows and len(head + table_lows + sweep_lows + tail) + 2 == size
+            assert (table, sweep) == (oracle._projected(*search.table_box),
+                                      oracle._projected(*search.sweep_box))
+            assert len(search.groups) == 1
             lows0, highs0 = oracle._box(size, bound, fixed)
             largest = max(oracle._projected(lows0[1:middle], highs0[1:middle]),
                           oracle._projected(lows0[middle:], highs0[middle:]))
-            assert max(oracle._projected(lows[1:h - 1], highs[1:h - 1]),
-                       oracle._projected(lows[h:], highs[h:])) <= largest, (size, fixed)
-        assert oracle._plan(size, bound, {}, identity)[:5] == (
-            (), (), [1] * size, [bound] * size, size // 2 + 1)
+            assert max(table, sweep) <= largest, (size, fixed)
+        search, head, tail, table, sweep = oracle._plan(size, bound, {}, identity)
+        h = size // 2 + 1
+        assert (head, tail, search.first, search.implicit) == ((), (), (1, bound), (1, bound))
+        assert (search.table_box, search.sweep_box) == (((1,) * (h - 2), (bound,) * (h - 2)),
+                                                        ((1,) * (size - h), (bound,) * (size - h)))
+
+
+def test_every_pin_set_matches_direct():
+    # every pin set at sizes 3..7, all at 1 or all at 3, under bounds 2 and 3:
+    # each peels, folds and splits its own way, and count, touches, both
+    # histograms and listings must equal the direct route's
+    cases = 0
+    for size in range(3, 8):
+        for mask in range(1 << size):
+            for value in (1, 3):
+                pins = {pos: value for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
+                for bound in (2, 3):
+                    for target in ("Id", "TSTS", "T^-1", "[[2,3],[1,2]]"):
+                        direct, mitm = _both_routes(target, size, bound, pins)
+                        assert mitm == direct, (target, size, bound, pins)
+                        cases += 1
+    assert cases == 3968
 
 
 def test_folded_solve_is_the_same_for_any_worker_count():
@@ -567,18 +589,17 @@ def test_folded_solve_is_the_same_for_any_worker_count():
 
 def test_zero_bucket_matches_minus_z_prime():
     # pinning a_2 = a_3 = 1 puts Z' = elem(1)*elem(1) = [[0,-1],[1,-1]], whose
-    # z'11 = 0, alone in the table; at size 4 the sweep is empty and a_4 is
-    # implicit, so m_4 = -elem(a_1 + a_4 - 1) is found only by the probe
-    # w = (1, 0) matching -Z', once per a_4
+    # z'11 = 0, alone in the table; at size 5 a_4 is implicit and the sweep
+    # is a_5, so a solution is found only by the probe w = (1, 0) matching
+    # -Z', once per a_4
     identity = [matrices.IDENTITY.entries()]
-    for size in (4, 5):
-        lows, highs, h = oracle._plan(size, size, {2: 1, 3: 1}, identity)[2:5]
-        assert (lows[1:h - 1], highs[1:h - 1], h) == ([1, 1], [1, 1], 4)
+    search = oracle._plan(5, 5, {2: 1, 3: 1}, identity)[0]
+    assert (search.table_box, search.sweep_box) == (((1, 1), (1, 1)), ((1,), (5,)))
     res = _listing("T^3S", 4, constraints={2: 1, 3: 1}, method="mitm")
     assert res.solutions == ((1, 1, 1, 3), (2, 1, 1, 2), (3, 1, 1, 1))
     assert res.by_first_last == {(1, 3): 1, (2, 2): 1, (3, 1): 1}
-    # at size 5 a sweep over a_5 comes on top; every product of the box is
-    # a target, and each must find its own tuple
+    # at size 4 the plan keeps a_4 in the sweep instead; at both sizes every
+    # product of the box is a target, and each must find its own tuple
     for size, bound in ((4, None), (4, 2), (5, None), (5, 3)):
         box = [(a, 1, 1) + rest for a in range(1, (bound or size) + 1)
                for rest in itertools.product(range(1, (bound or size) + 1), repeat=size - 3)]
@@ -592,13 +613,14 @@ def test_zero_bucket_matches_minus_z_prime():
 
 
 def test_pinned_implicit_digit():
-    # peeling leaves a_1 and a pinned a_2, the implicit digit, so each probe
-    # bisects for a single z'21; the pin may sit above the bound
+    # peeling leaves a_1, a pinned a_2, the implicit digit, and a sweep over
+    # a pinned a_3, so each probe bisects for a single z'21; the pin may sit
+    # above the bound
     identity = [matrices.IDENTITY.entries()]
-    for size, pins in ((2, {2: 1}), (2, {2: 6}), (4, {2: 2, 3: 1, 4: 3}),
-                       (4, {2: 6, 3: 1, 4: 2})):
-        lows, highs, h = oracle._plan(size, 4, pins, identity)[2:5]
-        assert (len(lows), h, lows[1]) == (2, 2, highs[1]) == (2, 2, pins[2])
+    for size, pins in ((4, {2: 2, 3: 1, 4: 3}), (4, {2: 6, 3: 1, 4: 2})):
+        search, _, tail = oracle._plan(size, 4, pins, identity)[:3]
+        assert (tail, search.table_box, search.implicit, search.sweep_box) == (
+            (pins[4],), ((), ()), (pins[2], pins[2]), ((1,), (1,)))
         solution = (2,) + tuple(pins[pos] for pos in range(2, size + 1))
         own = matrices.m_n(solution)
         for target in [own] + list(matrices.TARGETS) + ["[[2,3],[1,2]]"]:
@@ -609,15 +631,15 @@ def test_pinned_implicit_digit():
         assert res.bound_touches == (res.count if pins[2] >= 4 else 0)
 
 
-def test_boxes_of_a_1_and_a_h_alone():
-    # size 2, and size 3 with one end pinned, leave only a_1 and a_h: an
-    # empty table and an empty sweep, whose one suffix is the identity;
+def test_boxes_with_an_empty_table():
+    # size 3, free or with one end pinned, is never peeled: a_1, a_2 implicit,
+    # an empty table whose one product is the identity, and a sweep over a_3;
     # every product of the box is a target, and each must find its own tuple
     identity = [matrices.IDENTITY.entries()]
-    for size, bound, pins in ((2, None, {}), (2, 4, {}), (3, None, {1: 2}), (3, None, {3: 1}),
+    for size, bound, pins in ((3, None, {}), (3, 2, {}), (3, None, {1: 2}), (3, None, {3: 1}),
                               (3, 2, {1: 3}), (3, 4, {3: 4})):
-        lows, highs, h = oracle._plan(size, bound or size, pins, identity)[2:5]
-        assert (len(lows), h) == (2, 2)
+        search, head, tail = oracle._plan(size, bound or size, pins, identity)[:3]
+        assert (head, tail, search.table_box, len(search.sweep_box[0])) == ((), (), ((), ()), 1)
         box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(
             *oracle._box(size, bound or size, pins)))))
         targets = list(matrices.TARGETS) + ["S^-1", "[[2,3],[1,2]]"]
@@ -655,7 +677,7 @@ def test_survey_probes_once_per_target_column(monkeypatch):
 
     monkeypatch.setattr(oracle, "_build_table", counting_build)
     rows = [mat.entries() for mat in matrices.TARGETS.values()]
-    groups = oracle._plan(8, 8, {}, rows)[5]
+    groups = oracle._plan(8, 8, {}, rows)[0].groups
     assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
     sv = survey(8)
     # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes in 8^2 runs;
@@ -758,8 +780,7 @@ def test_one_digit_sweep_is_the_same_for_any_worker_count():
     # at size 4 the sweep is a_4 alone, so every fork partition is one run
     # of width 1; both worker counts must agree with the direct route
     identity = [matrices.IDENTITY.entries()]
-    lows, highs, h = oracle._plan(4, 4, {}, identity)[2:5]
-    assert (h, lows[h:]) == (3, [1])
+    assert oracle._plan(4, 4, {}, identity)[0].sweep_box == ((1,), (4,))
     direct = survey(4, method="direct")
     for workers in (1, 2):
         assert survey(4, method="mitm", workers=workers) == direct
@@ -849,7 +870,7 @@ def test_filtered_mitm_matches_direct(monkeypatch):
     names = list(matrices.TARGETS)
     nine = names + ["[[2,3],[1,2]]"]
     cases = [(names, 5, None, {}), (names, 7, None, {}), (nine, 7, None, {}),
-             (nine, 5, 2, {}), (nine, 6, 3, {}), (nine, 9, 2, {}),
+             (nine, 7, 2, {}), (nine, 6, 3, {}), (nine, 9, 2, {}),
              (nine, 6, None, {2: 2}), (nine, 7, None, {2: 2, 3: 1}), (nine, 8, None, {4: 2}),
              (nine, 8, None, {1: 2, 8: 3}), (nine, 9, 3, {9: 4})]
     for targets, size, bound, pins in cases:
@@ -914,8 +935,8 @@ def test_packed_fields_fit_pinned_digits_of_any_size():
         for pos in (2, 3):
             for value in (10 ** 9, 2 ** 70 + 3):
                 pins = {pos: value}
-                lows, h = oracle._plan(size, 3, pins, identity)[2:5:2]
-                assert lows[pos - 1] == value and 2 <= pos <= h - 1
+                table_lows = oracle._plan(size, 3, pins, identity)[0].table_box[0]
+                assert pos - 2 < len(table_lows) and table_lows[pos - 2] == value
                 # the named targets, then two tuples of the box that must find themselves
                 own = [digits[:pos - 1] + (value,) + digits[pos:]
                        for digits in ((1,) * size, (3, 2, 1, 3, 2, 1, 3)[:size])]
@@ -936,9 +957,12 @@ def test_stepped_probes_match_direct(monkeypatch):
     real_plan = oracle._plan
 
     def plan_keeping_pins(size, bound, fixed, rows):
-        h, groups = real_plan(size, bound, {}, rows)[4:]
-        assert h < size
-        return (), (), *oracle._box(size, bound, fixed), h, groups
+        search, head, tail, table, _ = real_plan(size, bound, {}, rows)
+        h = size - len(search.sweep_box[0])
+        lows, highs = oracle._box(size, bound, fixed)
+        sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
+        return (search._replace(sweep_box=sweep_box), head, tail, table,
+                oracle._projected(*sweep_box))
 
     monkeypatch.setattr(oracle, "_plan", plan_keeping_pins)
     solutions = 0
