@@ -23,6 +23,7 @@ rows (see `formulas`), the independent second route.
 import csv
 import io
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -57,9 +58,9 @@ class _Build:
     """Every series of one truncation order.
 
     The rows U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1)
-    are grown by one multiplication each, the first time they are asked
-    for.  U1, V1 and W11 have no constant term, so row j starts at X^j
-    and a row past the order is zero.
+    are grown by one multiplication each, under a lock that threads share,
+    the first time they are asked for.  U1, V1 and W11 have no constant
+    term, so row j starts at X^j and a row past the order is zero.
     """
 
     def __init__(self, order):
@@ -71,14 +72,17 @@ class _Build:
         self.u1 = one.sub(self.p_inverse)
         v1 = self.q.sub(one).mul(self.p_inverse)
         self._rows = {"U": [self.u1], "V": [v1], "W": [self.p_inverse.mul(v1)]}
+        self._grow = threading.Lock()
 
     def row(self, family, j):
         """Row j >= 1 of U, V or W(1, .)."""
         if j > self.u1.order:
             return TruncSeries.zero(self.u1.order)
         rows = self._rows[family]
-        while len(rows) < j:
-            rows.append(rows[-1].mul(self.u1))
+        if len(rows) < j:
+            with self._grow:
+                while len(rows) < j:
+                    rows.append(rows[-1].mul(self.u1))
         return rows[j - 1]
 
     @cached_property

@@ -40,14 +40,15 @@ checks the run, takes a route, re-multiplies every mitm listing
 through m_n and has _summary derive the count, the bound touches and
 both histograms from each tally, so no route computes them itself.
 
-_plan lays out and prices each search, once.  While more than three
-components remain, pinned ones come off both ends as a head and a tail,
-folded into the targets, since m_n(head + rest + tail) =
-m_n(tail) * m_n(rest) * m_n(head); the tally keys and listings get them
-back.  The split h of the rest balances the table against the probes of
-the sweep, from running products of the component widths, so a plan
-takes time linear in the length of the box, and it always leaves the
-sweep a digit.
+_plan lays out and prices each search, once, in the record that
+carries it to its result.  While more than three components remain,
+pinned ones come off both ends as a head and a tail, folded into the
+targets, since m_n(head + rest + tail) = m_n(tail) * m_n(rest) *
+m_n(head); the join writes them back into its tallies and listings.
+The split h of the rest balances the table against the probes of the
+sweep, from running products of the component widths, so a plan takes
+time linear in the length of the box, and it always leaves the sweep a
+digit.
 
 Where the table would still hold more entries than the sweep makes
 probes, as at odd sizes in survey, the table is semi-joined to the
@@ -60,9 +61,10 @@ Every route walks its box with one odometer, _iter_runs, which yields
 each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
 each step along a run adds the second row of the product to its first,
 a fixed increment to each packed entry of _build_table and a fixed
-vector to each probe of _join.  _sweep partitions the suffix sweep by
-its first digit, runs the partitions in a fork pool capped at the CPU
-count, and merges them.
+vector to each probe of _join.  _sweep joins the suffix sweep in one
+call, or by first digit in a fork pool capped at the CPU count whose
+children alone hold the search in a module global, so a serial run
+keeps no module state and may share the process with other threads.
 
 The direct route, the reference the join is checked against, shares
 only _iter_runs with the join (test_iter_runs_odometer and
@@ -374,15 +376,20 @@ def _digits_at(index, lows, highs):
 
 
 class _Search(NamedTuple):
-    """One mitm search: _plan lays it out, _solve_mitm adds the table, _sweep hands it on."""
+    """One mitm search: _plan lays it out and prices it, _solve_mitm adds
+    the table, and _join writes the finished tallies and listings."""
 
     groups: list         # _plan's (b, d, members) probe groups
     targets: int         # number of targets, one tally each
+    head: tuple          # pinned values peeled off before a_1
     first: tuple         # (lo, hi) of a_1
     table_box: tuple     # (lows, highs) of a_2..a_(h-1)
     implicit: tuple      # (lo, hi) of a_h
     sweep_box: tuple     # (lows, highs) of a_(h+1)..a_m, never empty
+    tail: tuple          # pinned values peeled off after a_m
     bound: int
+    table_size: int      # tuples in table_box
+    sweep_size: int      # tuples in sweep_box
     table: dict = None   # _build_table over table_box
     widths: tuple = (0, 0, 0)  # (cbits, shift, limit) of its packed entries
     want_list: bool = False
@@ -391,15 +398,15 @@ class _Search(NamedTuple):
 def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
-    Every suffix holds a digit, the box's last, which keys the tally.
+    Every suffix holds a digit, the box's last, and ends in the tail.
     Each probe group steps its probe along every run of suffixes and
     signs it only on a hit (a group with d = 0 does not step, so its
     first miss ends its run), and a_1's window is tested before a_h is
-    solved.  The suffix's part of the bound test is taken once per hit,
-    so a solution costs two floor divisions and one tally increment, and
-    a listing decodes its table digits from code.  Returns (tallies, listings): per target, the
-    tally {(first, last, touched): solutions} and the solution tuples, or
-    listings None.
+    solved.  The bound test of suffix, head and tail is taken once per
+    hit, so a solution costs two floor divisions and one tally increment.
+    Returns (tallies, listings): per target, the tally {(first, last,
+    touched): solutions}, first from the head if any, and the tuples
+    head + solution + tail, their table digits decoded from code, or None.
     """
     tallies = [Counter() for _ in range(search.targets)]
     listings = [[] for _ in range(search.targets)] if search.want_list else None
@@ -408,7 +415,8 @@ def _join(search, slows, shighs):
     zmask, cmask = (1 << shift - cbits) - 1, (1 << cbits) - 1
     (first_lo, first_hi), (ah_lo, ah_hi) = search.first, search.implicit
     slo, shi = slows[-1], shighs[-1]
-    bound, table_box = search.bound, search.table_box
+    bound, table_box, head, tail = search.bound, search.table_box, search.head, search.tail
+    head_first = head[0] if head else 0  # components are positive: 0 is no head
 
     for digits, (r, s, u, v) in _iter_runs(slows, shighs):
         # the run's suffixes are (last*r - u, last*s - v, r, s)
@@ -432,9 +440,9 @@ def _join(search, slows, shighs):
                 sign = 1 if y > 0 or (y == 0 and x > 0) else -1
                 p, q, wx, wy = last * r - u, last * s - v, sign * x, sign * y
                 bucket = (bucket,) if bucket.__class__ is int else bucket
-                # the suffix and its part of every solution's bound test
-                suffix = (*digits[:-1], last)
-                smax = max(suffix)
+                # the suffix, its last value and, with the head, its part of the bound test
+                suffix = (*digits[:-1], last, *tail)
+                end, smax = suffix[-1], max(head + suffix)
                 if wy:
                     # Z = elem(a_h) * Z' has Z*e1 = (a_h*z'11 - z'21, z'11), so the matches
                     # have z'11 = wy and z'21 = a_h*wy - wx, a range of the bucket; then
@@ -450,10 +458,10 @@ def _join(search, slows, shighs):
                         for entry in bucket:
                             if low <= (z := entry >> cbits & zmask) <= high:
                                 first, ah = (r1 - z) // wy, (wx + (entry >> shift)) // wy
-                                tally[first, last,
+                                tally[head_first or first, end,
                                       entry & 1 or max(first, ah, smax) >= bound] += 1
                                 if listings is not None:
-                                    listings[ti].append((first, *_digits_at(
+                                    listings[ti].append((*head, first, *_digits_at(
                                         (entry & cmask) >> 1, *table_box), ah, *suffix))
                 else:
                     # w = (1, 0) and Z'*e1 = (0, 1): every a_h matches with Z = -elem(a_h)*Z',
@@ -466,49 +474,48 @@ def _join(search, slows, shighs):
                             lo, hi = max(ah_lo, both - first_hi), min(ah_hi, both - first_lo)
                             for ah in range(lo, hi + 1):
                                 first = both - ah
-                                tally[first, last,
+                                tally[head_first or first, end,
                                       entry & 1 or max(first, ah, smax) >= bound] += 1
                                 if listings is not None:
-                                    listings[ti].append((first, *_digits_at(
+                                    listings[ti].append((*head, first, *_digits_at(
                                         (entry & cmask) >> 1, *table_box), ah, *suffix))
     return tallies, listings
 
 
-_WORKER_CTX = None
+_WORKER_CTX = None  # the search, in each child of _sweep's fork pool only
+
+
+def _init_worker(search):
+    global _WORKER_CTX
+    _WORKER_CTX = search
 
 
 def _join_partition_task(value):
-    """_join over the sweep with its first digit set to value."""
-    search = _WORKER_CTX
-    slows, shighs = search.sweep_box
-    return _join(search, (value, *slows[1:]), (value, *shighs[1:]))
+    """_join over the sweep with its first digit set to value, in a child of the pool."""
+    slows, shighs = _WORKER_CTX.sweep_box
+    return _join(_WORKER_CTX, (value, *slows[1:]), (value, *shighs[1:]))
 
 
 def _sweep(search, workers):
-    """Join the suffix sweep one first-digit partition at a time; merged (tallies, listings).
+    """Join the suffix sweep against the table; merged (tallies, listings).
 
-    Partitions are independent, so they go to a fork pool of
-    min(workers, partitions, os.cpu_count()) processes (children inherit
-    the search, including the table, without pickling it).  A pool of
-    one, or a platform without fork, runs them serially.  The merge adds
-    the partitions in ascending order and sorts the listings, which
-    keeps results identical for any worker count.
+    Serially the whole sweep box is one _join call.  Otherwise its
+    independent first-digit partitions go to a fork pool of min(workers,
+    partitions, os.cpu_count()) processes, whose initializer hands each
+    child the search, inherited with its table, not pickled.  Without
+    fork the run is serial.  The merge adds the partitions in ascending
+    order and sorts the listings: results are the same for any workers.
     """
-    global _WORKER_CTX
     slows, shighs = search.sweep_box
     values = range(slows[0], shighs[0] + 1)
     pool_size = min(workers, len(values), os.cpu_count() or 1)
-    _WORKER_CTX = search
-    try:
-        if pool_size > 1:
-            import multiprocessing  # only here: no serial run pays for the import
-        if pool_size > 1 and "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(pool_size) as pool:
-                parts = pool.map(_join_partition_task, values)
-        else:
-            parts = [_join_partition_task(v) for v in values]
-    finally:
-        _WORKER_CTX = None
+    if pool_size > 1:
+        import multiprocessing  # only here: no serial run pays for the import
+    if pool_size > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with multiprocessing.get_context("fork").Pool(pool_size, _init_worker, (search,)) as pool:
+            parts = pool.map(_join_partition_task, values)
+    else:
+        parts = [_join(search, slows, shighs)]
     tallies, listings = parts[0]
     for part_tallies, part_listings in parts[1:]:
         for tally, part in zip(tallies, part_tallies):
@@ -521,11 +528,11 @@ def _sweep(search, workers):
 
 
 def _plan(size, bound, fixed, target_rows):
-    """(search, head, tail, table_size, sweep_size): the layout of one mitm search.
+    """The _Search of one mitm search, laid out and priced, without a table.
 
     Pinned components come off both ends while more than three remain
     (size >= 3); head and tail hold their values, and each target folds
-    to R = m_n(tail)^-1 * target * m_n(head)^-1.  search.groups lists
+    to R = m_n(tail)^-1 * target * m_n(head)^-1.  groups lists
     (b, d, members), one probe per folded second column +/-(b, d), where
     members holds (index, a, c) for its targets, (a, c) their first
     column under the sign that makes it (b, d).
@@ -534,8 +541,7 @@ def _plan(size, bound, fixed, target_rows):
     a_2..a_(h-1) and a sweep over a_(h+1)..a_m.  h in 2..m-1, so the sweep
     keeps a digit, makes the larger of table_size and sweep_size times the
     number of probes as small as possible, then the table: a free box of
-    size m with one target takes h = m//2 + 1.  The search has no table
-    yet and lists nothing.
+    size m with one target takes h = m//2 + 1.
     """
     start, stop = 1, size
     while stop - start > 2 and start in fixed:
@@ -563,19 +569,17 @@ def _plan(size, bound, fixed, target_rows):
         return max(tables[h - 2], len(groups) * sweeps[h]), tables[h - 2]
 
     h = min(range(2, len(lows)), key=cost)
-    search = _Search(groups, len(target_rows), (lows[0], highs[0]),
-                     (lows[1:h - 1], highs[1:h - 1]), (lows[h - 1], highs[h - 1]),
-                     (lows[h:], highs[h:]), bound)
-    return search, head, tail, tables[h - 2], sweeps[h]
+    return _Search(groups, len(target_rows), head, (lows[0], highs[0]),
+                   (lows[1:h - 1], highs[1:h - 1]), (lows[h - 1], highs[h - 1]),
+                   (lows[h:], highs[h:]), tail, bound, tables[h - 2], sweeps[h])
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     """Tally (and optionally list) solutions for a batch of targets: one table, one join.
 
     The join searches the box _plan leaves for m_n(rest) = +/-R with
-    R = m_n(tail)^-1 * target * m_n(head)^-1; tally keys and listings
-    then get the pinned head and tail back.  Both budget checks and the
-    semi-join test read the side sizes _plan priced.
+    R = m_n(tail)^-1 * target * m_n(head)^-1 and returns finished results.
+    Both budget checks and the semi-join test read _plan's side sizes.
 
     When the table would hold more entries than the sweep makes probes,
     the sweep is first walked once, serially and before any fork, by
@@ -585,26 +589,16 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
     semi-join, after Bernstein and Chiu, J. ACM 1981).  The set holds at
     most one key per probe, so fewer keys than the full table has entries.
     """
-    search, head, tail, table_size, sweep_size = _plan(size, bound, fixed, target_rows)
-    _check_budget(table_size, budget, "the middle table")
-    _check_budget(sweep_size, budget, "the suffix sweep")
+    search = _plan(size, bound, fixed, target_rows)
+    _check_budget(search.table_size, budget, "the middle table")
+    _check_budget(search.sweep_size, budget, "the suffix sweep")
     keep = None
-    if table_size > len(search.groups) * sweep_size:
+    if search.table_size > len(search.groups) * search.sweep_size:
         # no table yet: only a hit reads the widths, and the key pass makes none
         keep = set()
         _join(search._replace(table=SimpleNamespace(get=keep.add)), *search.sweep_box)
     table, widths = _build_table(*search.table_box, bound, keep)
-    tallies, listings = _sweep(search._replace(table=table, widths=widths, want_list=want_list),
-                               workers)
-    pinned_touch = max(head + tail, default=0) >= bound
-    for ti, inner in enumerate(tallies):
-        tallies[ti] = Counter()
-        for (first, last, touched), solutions in inner.items():
-            key = (head[0] if head else first, tail[-1] if tail else last)
-            tallies[ti][key + (touched or pinned_touch,)] += solutions
-    if listings is not None:
-        listings = [[head + t + tail for t in listed] for listed in listings]
-    return tallies, listings
+    return _sweep(search._replace(table=table, widths=widths, want_list=want_list), workers)
 
 
 def _solve_direct(target_rows, lows, highs, bound, want_list):

@@ -1,4 +1,6 @@
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -276,3 +278,20 @@ def test_census_route_uses_no_closed_form(monkeypatch):
     }
     for name, row in by_size.items():
         assert [census.count_solutions(name, s) for s in range(1, 11)] == row, name
+
+
+def test_concurrent_rows_are_grown_once():
+    # four threads grow the V rows of one build at once, switching as often
+    # as they can; each row must equal the one a build grows alone
+    ks = (40, 47, 54, 61)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for order in (100, 103):
+            build = census._Build(order)
+            with ThreadPoolExecutor(4) as pool:
+                rows = list(pool.map(lambda k: build.row("V", k), ks))
+            alone = census._Build(order)
+            assert rows == [alone.row("V", k) for k in ks], order
+    finally:
+        sys.setswitchinterval(interval)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -229,7 +230,8 @@ def test_box_refusal_spares_every_plan_in_budget():
         for bound in (2, 3, size):
             sides = {"direct": [oracle._projected(*oracle._box(size, bound, {}))]}
             if size >= 3:
-                sides["mitm"] = oracle._plan(size, bound, {}, identity)[3:]
+                search = oracle._plan(size, bound, {}, identity)
+                sides["mitm"] = [search.table_size, search.sweep_size]
             for budget in (1, 35, 36, 1000, oracle.DEFAULT_MAX_TABLE_ENTRIES):
                 for method, projected in sides.items():
                     try:
@@ -357,8 +359,9 @@ def test_fork_pool_is_capped_at_the_cpu_count(monkeypatch):
     sizes = []
 
     class FakePool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -374,6 +377,8 @@ def test_fork_pool_is_capped_at_the_cpu_count(monkeypatch):
 
     query = dict(target="Id", size=6, list_solutions=True, method="mitm")
     serial = solve(OracleQuery(**query))
+    # the fake pool's initializer sets the worker global in this process
+    monkeypatch.setattr(oracle, "_WORKER_CTX", None)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
@@ -506,15 +511,15 @@ def test_pinned_ends_are_folded(monkeypatch):
             yield run
 
     monkeypatch.setattr(oracle, "_iter_runs", counting)
-    # the table comes first, then one sweep per first suffix digit
+    # the table comes first, then the serial sweep, one walk of its whole box
     # table over a_3..a_5, a_6 implicit, sweep over a_7..a_10 (unfolded: a
     # table of 10^4 and a sweep of 10^4)
     assert oracle.count_component_at("Id", 10, 1, 3) == census.series_V(3, 8).coeff(8)
-    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 4)
+    assert yielded == [10 ** 3, 10 ** 4]
     # table over a_3..a_5, a_6 implicit, sweep over a_7..a_9
     yielded.clear()
     assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
-    assert (yielded[0], sum(yielded[1:])) == (10 ** 3, 10 ** 3)
+    assert yielded == [10 ** 3, 10 ** 3]
     # peeling a_5 leaves a_1..a_4 with a_2 pinned; a table over nothing
     # would leave a sweep of 25 over a_3..a_4, over this budget, so the
     # plan keeps a table over a_2 alone, a_3 implicit and a sweep over a_4
@@ -522,13 +527,13 @@ def test_pinned_ends_are_folded(monkeypatch):
     yielded.clear()
     assert solve(OracleQuery(target="Id", size=5, constraints={2: 1, 5: 2},
                              max_table_entries=5)).count == want == 1
-    assert (yielded[0], sum(yielded[1:])) == (1, 5)
+    assert yielded == [1, 5]
     # no end pinned, but the interior pins a_2, a_3 move the balanced split:
     # table over a_2..a_5, a_6 implicit, sweep over a_7..a_8 (split in the
     # middle: a table of 8 and a sweep of 8^3)
     yielded.clear()
     assert _pinned_count("Id", 8, {2: 1, 3: 2}) == 22
-    assert (yielded[0], sum(yielded[1:])) == (8 ** 2, 8 ** 2)
+    assert yielded == [8 ** 2, 8 ** 2]
 
 
 def test_plan_never_enlarges_a_side():
@@ -542,7 +547,9 @@ def test_plan_never_enlarges_a_side():
         middle = (size + 1) // 2
         for mask in range(1 << size):
             fixed = {pos: 2 for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
-            search, head, tail, table, sweep = oracle._plan(size, bound, fixed, identity)
+            search = oracle._plan(size, bound, fixed, identity)
+            head, tail, table, sweep = (search.head, search.tail,
+                                        search.table_size, search.sweep_size)
             table_lows, sweep_lows = search.table_box[0], search.sweep_box[0]
             assert sweep_lows and len(head + table_lows + sweep_lows + tail) + 2 == size
             assert (table, sweep) == (oracle._projected(*search.table_box),
@@ -552,9 +559,10 @@ def test_plan_never_enlarges_a_side():
             largest = max(oracle._projected(lows0[1:middle], highs0[1:middle]),
                           oracle._projected(lows0[middle:], highs0[middle:]))
             assert max(table, sweep) <= largest, (size, fixed)
-        search, head, tail, table, sweep = oracle._plan(size, bound, {}, identity)
+        search = oracle._plan(size, bound, {}, identity)
         h = size // 2 + 1
-        assert (head, tail, search.first, search.implicit) == ((), (), (1, bound), (1, bound))
+        assert (search.head, search.tail, search.first, search.implicit) == (
+            (), (), (1, bound), (1, bound))
         assert (search.table_box, search.sweep_box) == (((1,) * (h - 2), (bound,) * (h - 2)),
                                                         ((1,) * (size - h), (bound,) * (size - h)))
 
@@ -593,7 +601,7 @@ def test_zero_bucket_matches_minus_z_prime():
     # is a_5, so a solution is found only by the probe w = (1, 0) matching
     # -Z', once per a_4
     identity = [matrices.IDENTITY.entries()]
-    search = oracle._plan(5, 5, {2: 1, 3: 1}, identity)[0]
+    search = oracle._plan(5, 5, {2: 1, 3: 1}, identity)
     assert (search.table_box, search.sweep_box) == (((1, 1), (1, 1)), ((1,), (5,)))
     res = _listing("T^3S", 4, constraints={2: 1, 3: 1}, method="mitm")
     assert res.solutions == ((1, 1, 1, 3), (2, 1, 1, 2), (3, 1, 1, 1))
@@ -618,8 +626,8 @@ def test_pinned_implicit_digit():
     # above the bound
     identity = [matrices.IDENTITY.entries()]
     for size, pins in ((4, {2: 2, 3: 1, 4: 3}), (4, {2: 6, 3: 1, 4: 2})):
-        search, _, tail = oracle._plan(size, 4, pins, identity)[:3]
-        assert (tail, search.table_box, search.implicit, search.sweep_box) == (
+        search = oracle._plan(size, 4, pins, identity)
+        assert (search.tail, search.table_box, search.implicit, search.sweep_box) == (
             (pins[4],), ((), ()), (pins[2], pins[2]), ((1,), (1,)))
         solution = (2,) + tuple(pins[pos] for pos in range(2, size + 1))
         own = matrices.m_n(solution)
@@ -638,8 +646,9 @@ def test_boxes_with_an_empty_table():
     identity = [matrices.IDENTITY.entries()]
     for size, bound, pins in ((3, None, {}), (3, 2, {}), (3, None, {1: 2}), (3, None, {3: 1}),
                               (3, 2, {1: 3}), (3, 4, {3: 4})):
-        search, head, tail = oracle._plan(size, bound or size, pins, identity)[:3]
-        assert (head, tail, search.table_box, len(search.sweep_box[0])) == ((), (), ((), ()), 1)
+        search = oracle._plan(size, bound or size, pins, identity)
+        assert (search.head, search.tail, search.table_box, len(search.sweep_box[0])) == (
+            (), (), ((), ()), 1)
         box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in zip(
             *oracle._box(size, bound or size, pins)))))
         targets = list(matrices.TARGETS) + ["S^-1", "[[2,3],[1,2]]"]
@@ -677,7 +686,7 @@ def test_survey_probes_once_per_target_column(monkeypatch):
 
     monkeypatch.setattr(oracle, "_build_table", counting_build)
     rows = [mat.entries() for mat in matrices.TARGETS.values()]
-    groups = oracle._plan(8, 8, {}, rows)[0].groups
+    groups = oracle._plan(8, 8, {}, rows).groups
     assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
     sv = survey(8)
     # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes in 8^2 runs;
@@ -780,7 +789,7 @@ def test_one_digit_sweep_is_the_same_for_any_worker_count():
     # at size 4 the sweep is a_4 alone, so every fork partition is one run
     # of width 1; both worker counts must agree with the direct route
     identity = [matrices.IDENTITY.entries()]
-    assert oracle._plan(4, 4, {}, identity)[0].sweep_box == ((1,), (4,))
+    assert oracle._plan(4, 4, {}, identity).sweep_box == ((1,), (4,))
     direct = survey(4, method="direct")
     for workers in (1, 2):
         assert survey(4, method="mitm", workers=workers) == direct
@@ -935,7 +944,7 @@ def test_packed_fields_fit_pinned_digits_of_any_size():
         for pos in (2, 3):
             for value in (10 ** 9, 2 ** 70 + 3):
                 pins = {pos: value}
-                table_lows = oracle._plan(size, 3, pins, identity)[0].table_box[0]
+                table_lows = oracle._plan(size, 3, pins, identity).table_box[0]
                 assert pos - 2 < len(table_lows) and table_lows[pos - 2] == value
                 # the named targets, then two tuples of the box that must find themselves
                 own = [digits[:pos - 1] + (value,) + digits[pos:]
@@ -957,12 +966,11 @@ def test_stepped_probes_match_direct(monkeypatch):
     real_plan = oracle._plan
 
     def plan_keeping_pins(size, bound, fixed, rows):
-        search, head, tail, table, _ = real_plan(size, bound, {}, rows)
+        search = real_plan(size, bound, {}, rows)
         h = size - len(search.sweep_box[0])
         lows, highs = oracle._box(size, bound, fixed)
         sweep_box = (tuple(lows[h:]), tuple(highs[h:]))
-        return (search._replace(sweep_box=sweep_box), head, tail, table,
-                oracle._projected(*sweep_box))
+        return search._replace(sweep_box=sweep_box, sweep_size=oracle._projected(*sweep_box))
 
     monkeypatch.setattr(oracle, "_plan", plan_keeping_pins)
     solutions = 0
@@ -974,3 +982,18 @@ def test_stepped_probes_match_direct(monkeypatch):
                     assert mitm == direct, (target, size, bound, pins)
                     solutions += direct[0]
     assert solutions > 1000
+
+
+def test_concurrent_solves_match_serial():
+    # a serial run keeps no module state, so solves in threads that switch
+    # as often as they can still count exactly as one at a time
+    targets = ("Id", "TSTS", "S", "T")
+    serial = [solve(OracleQuery(target, 9)).count for target in targets]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            counts = list(pool.map(lambda target: solve(OracleQuery(target, 9)).count, targets))
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts == serial
