@@ -7,6 +7,11 @@ total to be an integer; anything else raises NonIntegralSumError,
 because a fractional total can only mean a transcription or convention
 bug.  Per-term integrality is deliberately not assumed.
 
+Q, Ptilde, V1, W11, P^e and D are summed once per process for each
+argument and then read from a cache; E and F, which read many D values,
+and a session that runs a table and then `verify` gain from it.  Code
+that patches `binom_conv` or `_exact_sum` must first `cache_clear()` them.
+
 Series letters used across the package (defined by what they count, all
 for tuples of size n + 2):
 
@@ -23,6 +28,7 @@ for tuples of size n + 2):
 """
 
 from fractions import Fraction
+from functools import cache, wraps
 from math import comb
 
 
@@ -53,6 +59,15 @@ def _exact_sum(label, terms):
     return int(total)
 
 
+def _memo(fn):
+    """`functools.cache` behind a plain function, which a tracer can still wrap."""
+    cached = cache(fn)
+    memo = wraps(fn)(lambda *args, **kwargs: cached(*args, **kwargs))
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@_memo
 def coeff_Q(n):
     """Number of identity-target solutions of size n + 2 (n >= 1); Q_0 = 1 is the formal seed."""
     if n < 0:
@@ -65,6 +80,7 @@ def coeff_Q(n):
         for k in range(n // 3 + 1) for s in range(k + 1)))
 
 
+@_memo
 def coeff_Ptilde(n):
     """n-th coefficient of 1/P, by the direct triple sum."""
     if n < 0:
@@ -80,6 +96,7 @@ def coeff_Ptilde(n):
         for l in range((n - j - 2 * k - 1) // 3 + 1)))
 
 
+@_memo
 def coeff_V1(n):
     """Identity-target solutions of size n + 2 with last component 1 (n >= 1)."""
     if n < 1:
@@ -90,6 +107,7 @@ def coeff_V1(n):
         for j in range((n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
 
 
+@_memo
 def coeff_W11(n):
     """Identity-target solutions of size n + 2 with first and last component 1."""
     if n < 0:
@@ -104,6 +122,7 @@ def coeff_W11(n):
         for j in range(1, (n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
 
 
+@_memo
 def coeff_powP(e, n):
     """n-th coefficient of P(X)**e, by the closed form (no series product); e = 1 is P."""
     if e < 1:
@@ -116,6 +135,7 @@ def coeff_powP(e, n):
         for k in range(n // 3 + 1)))
 
 
+@_memo
 def coeff_D(n):
     """Number of 3-divisible dissections of a convex (n+2)-gon."""
     if n < 0:

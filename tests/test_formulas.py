@@ -1,9 +1,27 @@
 import math
+from collections import Counter
 
 import pytest
 
-from quiddity import formulas
+from quiddity import census, formulas, verify
 from quiddity.formulas import binom_conv
+
+MEMOIZED = (formulas.coeff_Q, formulas.coeff_Ptilde, formulas.coeff_V1,
+            formulas.coeff_W11, formulas.coeff_powP, formulas.coeff_D)
+
+
+def clear_closed_forms():
+    for fn in MEMOIZED:
+        fn.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_closed_forms():
+    # a value cached by another test would never reach a patched kernel,
+    # and a value summed through a patched kernel must not outlive its test
+    clear_closed_forms()
+    yield
+    clear_closed_forms()
 
 
 def test_binom_conv_negative_top_is_one():
@@ -121,3 +139,24 @@ def test_every_closed_form_sums_through_the_kernel(monkeypatch):
         with pytest.raises(Sentinel) as caught:
             fn(n)
         assert caught.value.args == (label,)
+
+
+def test_each_closed_form_value_is_summed_once_per_process(monkeypatch):
+    summed = Counter()
+    real = formulas._exact_sum
+
+    def spy(label, terms):
+        summed[label] += 1
+        return real(label, terms)
+
+    monkeypatch.setattr(formulas, "_exact_sum", spy)
+    # E_n reads D_1..D_{n-3}, so the table to 48 reads D_1..D_45, each many times
+    census.census_table("E", 48)
+    assert summed == Counter(f"D_{k}" for k in range(1, 46))
+
+    census.census_table("Ptilde", 16)
+    summed.clear()
+    verify.identity_checks(order=32)
+    assert ({label for label in summed if label.startswith("Ptilde_")}
+            == {f"Ptilde_{n}" for n in range(17, 33)})
+    assert max(summed.values()) == 1
