@@ -1,7 +1,8 @@
 """The counting pipeline: generating series for the solution families and
 the count formulas derived from them.
 
-Families, all counting solution tuples of size n + 2 for their target:
+Families, all counting solution tuples of size n + 2 for their target
+(the README's family table gives each one's first index, k, l and route):
 
     Q        identity target (whole count);
     V(k)     identity target, last component equal to k;
@@ -30,7 +31,17 @@ from functools import cached_property, lru_cache
 from . import formulas
 from .series import TruncSeries
 
-SERIES_FAMILIES = ("P", "Q", "Ptilde", "U", "V", "W")
+# Each family's first table index, the row indices it takes ("", "k" or
+# "kl") and whether it is a series row, which `series` prints too.
+_FAMILY_TABLE = {
+    "P": (0, "", True), "Q": (0, "", True), "Ptilde": (0, "", True),
+    "D": (1, "", False), "E": (3, "", False), "F": (3, "", False),
+    "U": (0, "k", True), "V": (0, "k", True), "W": (0, "kl", True),
+    "S": (0, "", False), "T": (0, "", False), "u": (1, "", False), "v": (1, "", False),
+    "w": (1, "", False), "x": (1, "", False), "y": (1, "", False),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+SERIES_FAMILIES = tuple(family for family, (_, _, series) in _FAMILY_TABLE.items() if series)
 
 
 def _solve_P_Q(order):
@@ -148,6 +159,11 @@ def series_row(family, order, k=None, l=None):
     if family not in SERIES_FAMILIES:
         raise ValueError(f"unknown series family {family!r}")
     check_row_indices(family, k, l)
+    return _series_row(family, order, k, l)
+
+
+def _series_row(family, order, k, l):
+    """series_row without the checks, for callers that made them."""
     build = _build(order)
     if family == "W":
         return f"W({k},{l})", build.row("W", k + l - 1)
@@ -228,12 +244,6 @@ class CountTable:
         return json.dumps(payload, indent=2)
 
 
-_FAMILY_START = {
-    "P": 0, "Q": 0, "Ptilde": 0, "D": 1, "E": 3, "F": 3,
-    "U": 0, "V": 0, "W": 0,
-    "S": 0, "T": 0, "u": 1, "v": 1, "w": 1, "x": 1, "y": 1,
-}
-
 _FORMULA_FAMILIES = {
     "P": lambda n: formulas.coeff_powP(1, n),
     "Q": formulas.coeff_Q,
@@ -243,44 +253,39 @@ _FORMULA_FAMILIES = {
     "F": formulas.coeff_F,
 }
 
-FAMILIES = tuple(_FAMILY_START)
-
 
 def check_row_indices(family, k, l):
-    """Require k exactly for U, V, W and l exactly for W, each at least 1."""
-    needs_k = family in ("U", "V", "W")
-    needs_l = family == "W"
-    if needs_k and k is None:
-        raise ValueError(f"family {family} needs k")
-    if needs_l and l is None:
-        raise ValueError(f"family {family} needs l")
-    if not needs_k and k is not None:
-        raise ValueError(f"family {family} does not take k")
-    if not needs_l and l is not None:
-        raise ValueError(f"family {family} does not take l")
-    if needs_k and k < 1:
-        raise ValueError("k must be at least 1")
-    if needs_l and l < 1:
-        raise ValueError("l must be at least 1")
+    """Require exactly the row indices the family takes, each at least 1."""
+    given = {"k": k, "l": l}
+    takes = _FAMILY_TABLE[family][1]
+    # no family takes l without k, so "needs" still comes before "does not take"
+    for name, value in given.items():
+        if name in takes and value is None:
+            raise ValueError(f"family {family} needs {name}")
+        if name not in takes and value is not None:
+            raise ValueError(f"family {family} does not take {name}")
+    for name in takes:
+        if given[name] < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def census_table(family, n_max, k=None, l=None):
     """Build the CountTable of one family for all defined indices <= n_max."""
-    if family not in _FAMILY_START:
+    if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
     check_row_indices(family, k, l)
-    start = _FAMILY_START[family]
+    start, _, series = _FAMILY_TABLE[family]
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")
+    span = range(start, n_max + 1)
 
     if family in _FORMULA_FAMILIES:
         fn = _FORMULA_FAMILIES[family]
-        entries = {n: fn(n) for n in range(start, n_max + 1)}
-        return CountTable(family=family, entries=entries, provenance="formula")
+        return CountTable(family, {n: fn(n) for n in span}, "formula")
 
-    if family in ("U", "V", "W"):
-        label, ts = series_row(family, n_max + 1, k, l)
+    if series:
+        label, ts = _series_row(family, n_max + 1, k, l)
         row = ts.coeffs
     else:
         label, row = family, _build(n_max + 1).targets[family]
-    return CountTable(label, {n: row[n] for n in range(start, n_max + 1)}, "series")
+    return CountTable(label, {n: row[n] for n in span}, "series")

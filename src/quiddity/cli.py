@@ -123,23 +123,23 @@ def build_parser():
                        choices=("csv", "json"), default="csv",
                        help="output format (default csv)")
 
-    table = sub.add_parser("table", help="print one family of counts")
-    table.add_argument("--family", required=True, choices=census.FAMILIES)
-    table.add_argument("--n-max", dest="n_max", type=int, required=True,
-                       help="largest index n to print")
-    table.add_argument("--k", type=int, help="row index for U, V, W")
-    table.add_argument("--l", type=int, help="second row index for W")
-    add_format(table)
+    def add_row_command(name, handler, summary, families, size_flag, **size_options):
+        """table and series: --family, the size option, --k, --l, --format."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        p.add_argument("--family", required=True, choices=families)
+        p.add_argument(size_flag, type=int, **size_options)
+        p.add_argument("--k", type=int, help="row index for U, V, W")
+        p.add_argument("--l", type=int, help="second row index for W")
+        add_format(p)
 
-    series_cmd = sub.add_parser("series", help="print raw series coefficients")
-    series_cmd.add_argument("--family", required=True, choices=census.SERIES_FAMILIES)
-    series_cmd.add_argument("--order", type=int, default=12,
-                            help="truncation order (default 12)")
-    series_cmd.add_argument("--k", type=int, help="row index for U, V, W")
-    series_cmd.add_argument("--l", type=int, help="second row index for W")
-    add_format(series_cmd)
+    add_row_command("table", cmd_table, "print one family of counts", census.FAMILIES,
+                    "--n-max", dest="n_max", required=True, help="largest index n to print")
+    add_row_command("series", cmd_series, "print raw series coefficients", census.SERIES_FAMILIES,
+                    "--order", default=12, help="truncation order (default 12)")
 
     oracle_cmd = sub.add_parser("oracle", help="exhaustive search for one target")
+    oracle_cmd.set_defaults(handler=cmd_oracle)
     oracle_cmd.add_argument("--target", required=True,
                             help="Id | S | T | T^-1 | TS | ST | TSTS | STST | "
                                  "generator word | [[a,b],[c,d]]")
@@ -153,6 +153,7 @@ def build_parser():
     add_format(oracle_cmd)
 
     verify_cmd = sub.add_parser("verify", help="run the full cross-check suite")
+    verify_cmd.set_defaults(handler=cmd_verify)
     verify_cmd.add_argument("--max-size", dest="max_size", type=int,
                             default=verify.ORACLE_MAX_SIZE,
                             help="largest tuple size for the oracle checks")
@@ -171,16 +172,10 @@ def main(argv=None):
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return int(exc.code or 0)
-    handlers = {
-        "table": cmd_table,
-        "series": cmd_series,
-        "oracle": cmd_oracle,
-        "verify": cmd_verify,
-    }
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("--workers must be at least 1")
-        return handlers[args.command](args)
+        return args.handler(args)
     except oracle.ResourceBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -170,29 +170,27 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
     report.check("identity:U1-times-P", p_minus_1.coeffs, u1.mul(p).coeffs)
     report.check("identity:P-W11-P", q_minus_1.coeffs, p.mul(w11).mul(p).coeffs)
 
-    v_total = TruncSeries.zero(order)
-    u_total = TruncSeries.zero(order)
-    w_total = TruncSeries.zero(order)
-    for k in range(1, order + 1):
-        v_total = v_total.add(census.series_V(k, order))
-        u_total = u_total.add(census.series_U(k, order))
-        w_total = w_total.add(census.series_W(1, k, order))
+    ks = range(1, order + 1)
+    v_rows = {k: census.series_V(k, order) for k in ks}
+    v_total = sum(v_rows.values(), TruncSeries.zero(order))
+    u_total = sum((census.series_U(k, order) for k in ks), TruncSeries.zero(order))
+    w_total = sum((census.series_W(1, k, order) for k in ks), TruncSeries.zero(order))
     report.check("identity:V-column-sums", q_minus_1.coeffs, v_total.coeffs)
     report.check("identity:U-column-sums", p_minus_1.coeffs, u_total.coeffs)
     report.check("identity:W-row-sums", v1.coeffs, w_total.coeffs)
 
-    diag = [census.series_V(n, order).coeff(n) for n in range(1, order + 1)]
+    diag = [v_rows[n].coeff(n) for n in range(1, order + 1)]
     report.check("identity:V-diagonal-ones", [1] * order, diag)
-    sub = [census.series_V(n - 1, order).coeff(n) for n in range(2, order + 1)]
+    sub = [v_rows[n - 1].coeff(n) for n in range(2, order + 1)]
     report.check("identity:V-first-subdiagonal", [n - 1 for n in range(2, order + 1)], sub)
-    sub2 = [census.series_V(n - 2, order).coeff(n) for n in range(3, order + 1)]
+    sub2 = [v_rows[n - 2].coeff(n) for n in range(3, order + 1)]
     report.check("identity:V-second-subdiagonal",
                  [(n + 1) * (n - 2) // 2 for n in range(3, order + 1)], sub2)
     not_positive = [(k, n) for n in range(1, order + 1) for k in range(1, n + 1)
-                    if census.series_V(k, order).coeff(n) <= 0]
+                    if v_rows[k].coeff(n) <= 0]
     report.check("identity:V-positivity", [], not_positive)
     not_zero = [(k, n) for n in range(0, order + 1) for k in range(n + 1, order + 1)
-                if census.series_V(k, order).coeff(n) != 0]
+                if v_rows[k].coeff(n) != 0]
     report.check("identity:V-vanishing", [], not_zero)
 
     report.check("identity:Ptilde-formula", list(p_inv.coeffs),

@@ -212,6 +212,50 @@ def test_census_table_validation():
         census.census_table("E", 2)
 
 
+def _reference_row_index_check(family, k, l):
+    """The row-index checks as once written out with the family names."""
+    needs_k = family in ("U", "V", "W")
+    needs_l = family == "W"
+    if needs_k and k is None:
+        raise ValueError(f"family {family} needs k")
+    if needs_l and l is None:
+        raise ValueError(f"family {family} needs l")
+    if not needs_k and k is not None:
+        raise ValueError(f"family {family} does not take k")
+    if not needs_l and l is not None:
+        raise ValueError(f"family {family} does not take l")
+    if needs_k and k < 1:
+        raise ValueError("k must be at least 1")
+    if needs_l and l < 1:
+        raise ValueError("l must be at least 1")
+
+
+def test_row_index_checks_keep_their_messages_and_precedence():
+    # census-48 runs its tables in FAMILIES order, and the CLI offers these choices
+    assert census.FAMILIES == ("P", "Q", "Ptilde", "D", "E", "F", "U", "V", "W",
+                               "S", "T", "u", "v", "w", "x", "y")
+    assert census.SERIES_FAMILIES == ("P", "Q", "Ptilde", "U", "V", "W")
+    for family in census.FAMILIES:
+        readers = [("table", census.census_table, census.CountTable)]
+        if family in census.SERIES_FAMILIES:
+            readers.append(("series", census.series_row, tuple))
+        for k in (None, 0, 2):
+            for l in (None, 0, 2):
+                try:
+                    _reference_row_index_check(family, k, l)
+                    expected = None
+                except ValueError as exc:
+                    expected = str(exc)
+                for name, read, kind in readers:
+                    case = (name, family, k, l)
+                    if expected is None:
+                        assert isinstance(read(family, 4, k, l), kind), case
+                    else:
+                        with pytest.raises(ValueError) as raised:
+                            read(family, 4, k, l)
+                        assert str(raised.value) == expected, case
+
+
 def test_count_table_csv():
     table = census.census_table("Q", 3)
     assert table.to_csv() == "family,n,value\nQ,0,1\nQ,1,1\nQ,2,2\nQ,3,5\n"

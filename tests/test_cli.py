@@ -70,6 +70,18 @@ def test_series_k_l_validation(capsys):
     assert run_cli(capsys, "series", "--family", "W", "--k", "2")[0] == 2
 
 
+def test_table_and_series_print_the_same_rows(capsys):
+    # for P, Q and Ptilde `table` takes the closed forms and `series` the
+    # series route; for U, V and W both read the same series row
+    rows = {"P": [], "Q": [], "Ptilde": [], "U": ["--k", "2"], "V": ["--k", "5"],
+            "W": ["--k", "2", "--l", "3"]}
+    for family, indices in rows.items():
+        table = run_cli(capsys, "table", "--family", family, "--n-max", "24", *indices)
+        series = run_cli(capsys, "series", "--family", family, "--order", "24", *indices)
+        assert table == series, family
+        assert table[0] == 0 and len(table[1].splitlines()) == 26, family
+
+
 def test_oracle_count_csv(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--target", "ST", "--size", "4")
     assert code == 0
