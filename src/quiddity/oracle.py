@@ -57,8 +57,33 @@ its probes look up, and the table stores only the entries under those
 keys.  survey(11) then stores 1,828 of 161,051 entries, and survey(13)
 12,682 of 4,826,809.  The budget still counts the full table box.
 
+When every target is +/-Id, the join also prunes by a proven bound:
+the components of a positive solution of m_n(a_1..a_n) = +/-Id sum to
+at most 3n - 6, and to a multiple of 3.  By induction on n:
+
+  - No solution has every a_i >= 2: the first column (p_k, p_(k-1)) of
+    elem(a_k)...elem(a_1) then has p_k - p_(k-1) >= p_(k-1) - p_(k-2)
+    >= ... >= 1, so its lower entry p_(n-1) >= n is not 0.  Sizes 1 and
+    2 have no solution, and size 3 only (1, 1, 1), whose sum is 3.
+  - A rotation of a solution is one, since the product is conjugated by
+    elem(a_1), so a 1 may be moved away from the ends.  For n >= 4 one
+    of three moves then gives a positive solution of size n - 1 or n - 3
+    whose sum is 3 smaller: (b, 1, a) -> (b - 1, a - 1) when a, b >= 2,
+    since elem(a)*elem(1)*elem(b) = elem(a - 1)*elem(b - 1); removing
+    (1, 1, 1), since elem(1)^3 = -Id; and (x, 1, 1, y) -> (x + y - 1)
+    when x, y >= 2, since elem(y)*elem(1)^2*elem(x) = -elem(x + y - 1).
+    The smaller solution has size 3 or more, so its sum is at most
+    3(n - 1) - 6 and a multiple of 3, and the claim follows.
+
+The bound is reached by the fan quiddity (n - 2, 1, 2, ..., 2, 1).  So
+_plan gives each side a digit-sum cap, 3n - 6 less the lows of every
+component outside it, and _iter_runs walks only the tuples within it.
+The budget checks, the split and the semi-join test still count full
+boxes, and the direct route stays unpruned.
+
 Every route walks its box with one odometer, _iter_runs, which yields
-each run of the innermost digit once; since elem(a + 1) = elem(a) + E11,
+each run of the innermost digit once, with the odometer index of its
+first tuple in the whole box; since elem(a + 1) = elem(a) + E11,
 each step along a run adds the second row of the product to its first,
 a fixed increment to each packed entry of _build_table and a fixed
 vector to each probe of _join.  _sweep joins the suffix sweep in one
@@ -171,42 +196,67 @@ class SurveyResult:
     exhaustive_within_bound: dict
 
 
-def _iter_runs(lows, highs):
-    """Yield (digits, (r, s, x, y)) per run of the innermost digit, in lexicographic order.
+def _iter_runs(lows, highs, cap=None):
+    """Yield (digits, index, (r, s, x, y)) per run of the innermost digit, in lexicographic order.
 
     (r, s, x, y) is the product over digits[:-1], so the run's products
     are m_n(digits[:-1] + [a]) = (a*r - x, a*s - y, r, s) for a in
-    lows[-1]..highs[-1].  digits is one live list whose innermost entry
-    stays lows[-1]: a caller that keeps it must copy it.  A step rebuilds
-    only the levels right of the digit that moved.  The empty box is one
-    run, [] with elem(0)^-1 = (0, 1, -1, 0), whose one product is the
-    identity at a = 0; only an empty table and the direct route at size
-    1 walk it, since every mitm plan keeps a sweep digit.
+    lows[-1]..digits[-1], and index is the odometer index of its first
+    tuple in the whole box.  digits is one live list whose innermost
+    entry is the run's last value: a caller that keeps it must copy it.
+    A step rebuilds only the levels right of the digit that moved.  The
+    empty box is one run, [] with elem(0)^-1 = (0, 1, -1, 0), whose one
+    product is the identity at a = 0; only an empty table and the direct
+    route at size 1 walk it, since every mitm plan keeps a sweep digit.
+
+    With a cap, only the tuples whose digits sum to at most cap are
+    walked.  A digit moves up only while the lows of the digits right of
+    it still fit under the cap, so no subtree over the cap is entered,
+    and each run ends at min(highs[-1], cap - sum(digits[:-1])).  The
+    running sums are kept per level with the products, and index moves
+    with the digit that moves, so a step costs a few additions more than
+    without a cap.  A cap of None walks the whole box.
     """
     length = len(lows)
+    if cap is None:
+        cap = sum(highs)
+    if sum(lows) > cap:
+        return
     if length == 0:
-        yield [], (0, 1, -1, 0)
+        yield [], 0, (0, 1, -1, 0)
         return
     digits = list(lows)
-    last = length - 1
-    # mats[j] is the product over digits[:j], the identity at j = 0
+    last, hi = length - 1, highs[-1]
+    # room[j] is the largest sum of digits[:j + 1] that leaves the lows after it under the cap
+    room = [cap - rest for rest in accumulate(reversed(lows[1:]), initial=0)][::-1]
+    # strides[j] is the number of tuples of the box right of digit j
+    strides = list(accumulate(reversed([high - low + 1 for low, high in zip(lows[1:], highs[1:])]),
+                              mul, initial=1))[::-1]
+    # mats[j] is the product over digits[:j], the identity at j = 0, and sums[j] their sum
     mats = [(1, 0, 0, 1)] * length
-    i = 0
+    sums = [0] * length
+    i = index = 0
     while True:
-        prev = mats[i]
+        prev, total = mats[i], sums[i]
         for j in range(i, last):
             a = digits[j]
             p, q, r, s = prev
             prev = (a * p - r, a * q - s, p, q)
             mats[j + 1] = prev
-        yield digits, prev
+            total += a
+            sums[j + 1] = total
+        end = cap - total
+        digits[last] = end if end < hi else hi
+        yield digits, index, prev
         i = last - 1
-        while i >= 0 and digits[i] >= highs[i]:
+        while i >= 0 and (digits[i] >= highs[i] or sums[i + 1] >= room[i]):
+            index -= (digits[i] - lows[i]) * strides[i]
             digits[i] = lows[i]
             i -= 1
         if i < 0:
             return
         digits[i] += 1
+        index += strides[i]
 
 
 def _projected(lows, highs):
@@ -301,7 +351,7 @@ def _summary(tally):
     return count, touches, dict(sorted(by_last.items())), dict(sorted(by_first_last.items()))
 
 
-def _build_table(lows, highs, bound, keep=None):
+def _build_table(lows, highs, bound, keep=None, cap=None):
     """(table, widths): the products Z' over the table box, bucketed for the probes of _join.
 
     Z' = (p, q, r, s), sign-normalized to p >= 0 (-Z' is never built), is
@@ -310,17 +360,20 @@ def _build_table(lows, highs, bound, keep=None):
     The entry is (z'21 << shift) + ((z'12 + limit) << cbits) + code, with
     widths (cbits, shift, limit) from the box: limit = prod(hi + 1) bounds
     every |entry| of Z', so the fields never overlap, and the ints sort by
-    z'21.  code is twice the odometer index of the digits, plus one when a
-    digit reaches the bound.  Along a run q steps by s and code by 2, so
-    the entries of Z' and of -Z' step by (s << cbits) + 2 and
-    2 - (s << cbits), and the touched bits come from one of two per-box
-    lists, picked once per run from the outer digits.  A one-entry bucket
-    is the bare int, stored by the one setdefault of a new key; a key's
-    second entry makes a list, sorted into a tuple at the end.
+    z'21.  code is twice the odometer index of the digits in the whole box,
+    plus one when a digit reaches the bound.  Along a run q steps by s and
+    code by 2, so the entries of Z' and of -Z' step by (s << cbits) + 2
+    and 2 - (s << cbits), and the touched bits come from one of two
+    per-box lists, picked once per run from the outer digits and cut at
+    the run's last value.  A one-entry bucket is the bare int, stored by
+    the one setdefault of a new key; a key's second entry makes a list,
+    sorted into a tuple at the end.
 
     With a set keep, only the entries under its keys are stored (the
-    semi-join of _solve_mitm): each kept bucket equals the full build's,
-    and codes still count every tuple of the box.
+    semi-join of _solve_mitm): each kept bucket equals the full build's.
+    With a cap, only the tuples whose digits sum to at most cap are built
+    (_iter_runs).  Either way codes still count every tuple of the box,
+    so _digits_at decodes them with the box alone.
     """
     cbits = _projected(lows, highs).bit_length() + 1
     limit = math.prod(hi + 1 for hi in highs)
@@ -331,15 +384,16 @@ def _build_table(lows, highs, bound, keep=None):
     lo, hi = (lows[-1], highs[-1]) if lows else (0, 0)
     # the touched bit along a run: 1 throughout when an outer digit reaches the bound
     ones, inner = [1] * (hi - lo + 1), [int(digit >= bound) for digit in range(lo, hi + 1)]
-    code = 0
-    for digits, (r, s, x, y) in _iter_runs(lows, highs):
+    for digits, index, (r, s, x, y) in _iter_runs(lows, highs, cap):
         bits = ones if max(digits[:-1], default=0) >= bound else inner
+        if digits and digits[-1] < hi:
+            bits = bits[:digits[-1] - lo + 1]
+        code = 2 * index
         p, q = lo * r - x, lo * s - y
         # the entries of Z' and of -Z' without their touched bit
         pos = (r << shift) + ((q + limit) << cbits) + code
         neg = (-r << shift) + ((limit - q) << cbits) + code
         up, down = (s << cbits) + 2, 2 - (s << cbits)
-        code += 2 * len(bits)
         for bit in bits:
             if p > 0:
                 key, entry = p * p + r % p, pos + bit
@@ -367,7 +421,7 @@ def _build_table(lows, highs, bound, keep=None):
 
 
 def _digits_at(index, lows, highs):
-    """The digits at an odometer index of the box, counting every tuple of _iter_runs's runs."""
+    """The digits at an odometer index of the whole box, as _iter_runs yields it, capped or not."""
     digits = []
     for lo, hi in zip(reversed(lows), reversed(highs)):
         index, offset = divmod(index, hi - lo + 1)
@@ -390,6 +444,8 @@ class _Search(NamedTuple):
     bound: int
     table_size: int      # tuples in table_box
     sweep_size: int      # tuples in sweep_box
+    table_cap: int       # the largest digit sum a table tuple of a solution can have,
+    sweep_cap: int       # and a sweep tuple; None unless every target is +/-Id
     table: dict = None   # _build_table over table_box
     widths: tuple = (0, 0, 0)  # (cbits, shift, limit) of its packed entries
     want_list: bool = False
@@ -398,11 +454,11 @@ class _Search(NamedTuple):
 def _join(search, slows, shighs):
     """Sweep a suffix box against the table, solving a_h and a_1 per hit.
 
-    Every suffix holds a digit, the box's last, and ends in the tail.
-    Each probe group steps its probe along every run of suffixes and
-    signs it only on a hit (a group with d = 0 does not step, so its
-    first miss ends its run), and a_1's window is tested before a_h is
-    solved.  The bound test of suffix, head and tail is taken once per
+    Every suffix holds a digit, the box's last, and ends in the tail;
+    only suffixes within the sweep cap are walked.  Each probe group
+    steps its probe along every run of suffixes and signs it only on a
+    hit (a group with d = 0 does not step, so its first miss ends its
+    run), and a_1's window is tested before a_h is solved.  The bound test of suffix, head and tail is taken once per
     hit, so a solution costs two floor divisions and one tally increment.
     Returns (tallies, listings): per target, the tally {(first, last,
     touched): solutions}, first from the head if any, and the tuples
@@ -414,19 +470,20 @@ def _join(search, slows, shighs):
     cbits, shift, limit = search.widths
     zmask, cmask = (1 << shift - cbits) - 1, (1 << cbits) - 1
     (first_lo, first_hi), (ah_lo, ah_hi) = search.first, search.implicit
-    slo, shi = slows[-1], shighs[-1]
+    slo = slows[-1]
     bound, table_box, head, tail = search.bound, search.table_box, search.head, search.tail
     head_first = head[0] if head else 0  # components are positive: 0 is no head
 
-    for digits, (r, s, u, v) in _iter_runs(slows, shighs):
-        # the run's suffixes are (last*r - u, last*s - v, r, s)
+    for digits, _, (r, s, u, v) in _iter_runs(slows, shighs, search.sweep_cap):
+        # the run's suffixes are (last*r - u, last*s - v, r, s) for last in slo..top
+        top = digits[-1]
         for b, d, members in search.groups:
             # w = R*e2 with R = Suf^-1 * target and Suf^-1 = [[s, -q], [-r, p]] is
             # (x, y) = (s*b + v*d - last*s*d, last*r*d - u*d - r*b) along the run;
             # it starts one step before slo, and each step adds (-s*d, r*d)
             dx, dy = -s * d, r * d
             x, y = s * b + v * d + (slo - 1) * dx, (slo - 1) * dy - u * d - r * b
-            for last in range(slo, shi + 1):
+            for last in range(slo, top + 1):
                 x += dx
                 y += dy
                 # y^2 + |-x mod y| is the key of w signed so that y > 0, whatever y's sign
@@ -542,6 +599,11 @@ def _plan(size, bound, fixed, target_rows):
     keeps a digit, makes the larger of table_size and sweep_size times the
     number of probes as small as possible, then the table: a free box of
     size m with one target takes h = m//2 + 1.
+
+    When every target is +/-Id, each side gets a digit-sum cap: a solution
+    sums to at most 3*size - 6 (module docstring), and every component
+    outside the side is at least its low, so the side's digits sum to at
+    most its own lows plus the spare 3*size - 6 - sum(lows of the box).
     """
     start, stop = 1, size
     while stop - start > 2 and start in fixed:
@@ -549,6 +611,8 @@ def _plan(size, bound, fixed, target_rows):
     while stop - start > 2 and stop in fixed:
         stop -= 1
     lows, highs = _box(size, bound, fixed)
+    plus_minus_id = {IDENTITY.entries(), (-IDENTITY).entries()}
+    spare = 3 * size - 6 - sum(lows) if set(target_rows) <= plus_minus_id else None
     head, tail = tuple(lows[:start - 1]), tuple(lows[stop:])
     lows, highs = tuple(lows[start - 1:stop]), tuple(highs[start - 1:stop])
     head_inv = m_n(head).inverse() if head else IDENTITY
@@ -569,9 +633,10 @@ def _plan(size, bound, fixed, target_rows):
         return max(tables[h - 2], len(groups) * sweeps[h]), tables[h - 2]
 
     h = min(range(2, len(lows)), key=cost)
+    caps = (None, None) if spare is None else (spare + sum(lows[1:h - 1]), spare + sum(lows[h:]))
     return _Search(groups, len(target_rows), head, (lows[0], highs[0]),
                    (lows[1:h - 1], highs[1:h - 1]), (lows[h - 1], highs[h - 1]),
-                   (lows[h:], highs[h:]), tail, bound, tables[h - 2], sweeps[h])
+                   (lows[h:], highs[h:]), tail, bound, tables[h - 2], sweeps[h], *caps)
 
 
 def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
@@ -597,7 +662,7 @@ def _solve_mitm(target_rows, size, bound, fixed, workers, budget, want_list):
         # no table yet: only a hit reads the widths, and the key pass makes none
         keep = set()
         _join(search._replace(table=SimpleNamespace(get=keep.add)), *search.sweep_box)
-    table, widths = _build_table(*search.table_box, bound, keep)
+    table, widths = _build_table(*search.table_box, bound, keep, search.table_cap)
     return _sweep(search._replace(table=table, widths=widths, want_list=want_list), workers)
 
 
@@ -626,7 +691,7 @@ def _solve_direct(target_rows, lows, highs, bound, want_list):
     # b is the innermost digit of the shortened box; in the empty one it is
     # the virtual 0 of _iter_runs, whose one product is the identity
     blo, bhi = (lows[-2], highs[-2]) if len(lows) > 1 else (0, 0)
-    for digits, (r, s, x, y) in _iter_runs(lows[:-1], highs[:-1]):
+    for digits, _, (r, s, x, y) in _iter_runs(lows[:-1], highs[:-1]):
         # the products over (..., b) are (b*r - x, b*s - y, r, s), and
         # (b*r - x, b*s - y) is the second row of every product over (..., b, a)
         p, q = blo * r - x, blo * s - y

@@ -420,25 +420,36 @@ def test_mitm_listings_are_re_verified(monkeypatch):
 def test_iter_runs_odometer():
     # boxes of length 0 and 1, the innermost digit pinned, a pinned middle
     # digit, and a pinned digit above the bound; the empty box is one run
-    # at a = 0 whose product is the identity
+    # at a = 0 whose product is the identity.  Under a cap the walk keeps
+    # exactly the tuples whose digits sum to at most the cap, in the same
+    # order and at their indices in the whole box: caps below the smallest
+    # sum, at it, in between, at the largest sum and above it
     boxes = [([], []), ([1], [4]), ([3], [3]), ([1, 1, 2], [3, 3, 2]),
              ([1, 2, 1], [3, 2, 3]), ([1, 1, 5, 1], [2, 2, 5, 2]),
              ([7, 1, 1], [7, 3, 3])]
+    walks = 0
     for lows, highs in boxes:
-        inner_lo, inner_hi = (lows[-1], highs[-1]) if lows else (0, 0)
-        seen = []
-        for digits, (r, s, x, y) in oracle._iter_runs(lows, highs):
-            assert len(digits) == len(lows), (lows, highs)
-            for a in range(inner_lo, inner_hi + 1):
-                found = (*digits[:-1], a) if lows else ()
-                expected = matrices.m_n(found) if found else matrices.IDENTITY
-                assert (a * r - x, a * s - y, r, s) == expected.entries(), (lows, highs, found)
-                seen.append(found)
+        inner_lo = lows[-1] if lows else 0
         box = [()]
         for lo, hi in zip(lows, highs):
             box = [t + (a,) for t in box for a in range(lo, hi + 1)]
-        assert seen == box, (lows, highs)
-        assert seen == sorted(seen)
+        for cap in (None, sum(lows) - 1, sum(lows), sum(lows) + 2, sum(highs), sum(highs) + 1):
+            seen, indices = [], []
+            for digits, index, (r, s, x, y) in oracle._iter_runs(lows, highs, cap):
+                assert len(digits) == len(lows), (lows, highs)
+                inner_hi = digits[-1] if lows else 0
+                assert inner_lo <= inner_hi <= (highs[-1] if lows else 0), (lows, highs, cap)
+                for a in range(inner_lo, inner_hi + 1):
+                    found = (*digits[:-1], a) if lows else ()
+                    expected = matrices.m_n(found) if found else matrices.IDENTITY
+                    assert (a * r - x, a * s - y, r, s) == expected.entries(), (lows, highs, found)
+                    seen.append(found)
+                    indices.append(index + a - inner_lo)
+            kept = [t for t in box if cap is None or sum(t) <= cap]
+            assert seen == kept == sorted(seen), (lows, highs, cap)
+            assert indices == [box.index(t) for t in kept], (lows, highs, cap)
+            walks += 1
+    assert walks == 6 * len(boxes)
 
 
 def test_batched_direct_walk_matches_single_solves():
@@ -498,41 +509,56 @@ def test_folded_mitm_matches_direct():
                 assert direct == mitm, (target, size, bound, pins)
 
 
+def _capped(lows, highs, cap):
+    # the tuples of the box whose digits sum to at most cap, counted one by one
+    return sum(sum(digits) <= cap for digits in itertools.product(
+        *(range(lo, hi + 1) for lo, hi in zip(lows, highs))))
+
+
 def test_pinned_ends_are_folded(monkeypatch):
-    # counts the tuples of each walk as the sum of its run widths
+    # counts the tuples of each walk as the sum of its run widths; every
+    # target is Id, so each side walks only the tuples within its digit-sum
+    # cap, 3*size - 6 less the lows of every component outside the side
     yielded = []
     real = oracle._iter_runs
 
-    def counting(lows, highs):
+    def counting(lows, highs, cap=None):
         yielded.append(0)
-        width = highs[-1] - lows[-1] + 1 if lows else 1
-        for run in real(lows, highs):
-            yielded[-1] += width
-            yield run
+        for digits, index, product in real(lows, highs, cap):
+            yielded[-1] += digits[-1] - lows[-1] + 1 if lows else 1
+            yield digits, index, product
 
     monkeypatch.setattr(oracle, "_iter_runs", counting)
-    # the table comes first, then the serial sweep, one walk of its whole box
+    # the table comes first, then the serial sweep, one walk of its box
     # table over a_3..a_5, a_6 implicit, sweep over a_7..a_10 (unfolded: a
-    # table of 10^4 and a sweep of 10^4)
+    # table of 10^4 and a sweep of 10^4); the spare is 24 - 3 - 9 = 12
     assert oracle.count_component_at("Id", 10, 1, 3) == census.series_V(3, 8).coeff(8)
-    assert yielded == [10 ** 3, 10 ** 4]
-    # table over a_3..a_5, a_6 implicit, sweep over a_7..a_9
+    assert yielded == [_capped([1] * 3, [10] * 3, 15), _capped([1] * 4, [10] * 4, 16)]
+    assert yielded == [425, 1760]
+    # table over a_3..a_5, a_6 implicit, sweep over a_7..a_9; the spare is
+    # 24 - 2 - 3 - 8 = 11
     yielded.clear()
     assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
-    assert yielded == [10 ** 3, 10 ** 3]
+    assert yielded == [_capped([1] * 3, [10] * 3, 14)] * 2 == [352, 352]
     # peeling a_5 leaves a_1..a_4 with a_2 pinned; a table over nothing
     # would leave a sweep of 25 over a_3..a_4, over this budget, so the
-    # plan keeps a table over a_2 alone, a_3 implicit and a sweep over a_4
+    # plan keeps a table over a_2 alone, a_3 implicit and a sweep over a_4;
+    # the spare is 9 - 6 = 3, so both sides are capped at 3 + 1 = 4
     want = sum(1 for d in _listing("Id", 5).solutions if (d[1], d[4]) == (1, 2))
     yielded.clear()
     assert solve(OracleQuery(target="Id", size=5, constraints={2: 1, 5: 2},
                              max_table_entries=5)).count == want == 1
-    assert yielded == [1, 5]
+    assert yielded == [1, _capped([1], [5], 4)] == [1, 4]
     # no end pinned, but the interior pins a_2, a_3 move the balanced split:
     # table over a_2..a_5, a_6 implicit, sweep over a_7..a_8 (split in the
-    # middle: a table of 8 and a sweep of 8^3)
+    # middle: a table of 8 and a sweep of 8^3); the spare is 18 - 9 = 9
     yielded.clear()
     assert _pinned_count("Id", 8, {2: 1, 3: 2}) == 22
+    assert yielded == [_capped([1, 2, 1, 1], [1, 2, 8, 8], 14), _capped([1] * 2, [8] * 2, 11)]
+    assert yielded == [49, 49]
+    # any other target walks the whole boxes of the same split
+    yielded.clear()
+    assert _pinned_count("TSTS", 8, {2: 1, 3: 2}) > 0
     assert yielded == [8 ** 2, 8 ** 2]
 
 
@@ -540,7 +566,8 @@ def test_plan_never_enlarges_a_side():
     # every pin set at sizes 3..12, for one target: the sweep keeps a digit,
     # the sizes _plan returns are those of its boxes, and the planned table
     # and sweep never exceed the larger side of the unpeeled box split in
-    # the middle without an implicit digit
+    # the middle without an implicit digit; the target is Id, so each side's
+    # digit-sum cap and the lows outside the side add up to 3*size - 6
     bound = 3
     identity = [matrices.IDENTITY.entries()]
     for size in range(3, 13):
@@ -555,6 +582,9 @@ def test_plan_never_enlarges_a_side():
             assert (table, sweep) == (oracle._projected(*search.table_box),
                                       oracle._projected(*search.sweep_box))
             assert len(search.groups) == 1
+            ends = sum(head + tail) + search.first[0] + search.implicit[0]
+            assert (search.table_cap + ends + sum(sweep_lows),
+                    search.sweep_cap + ends + sum(table_lows)) == (3 * size - 6,) * 2
             lows0, highs0 = oracle._box(size, bound, fixed)
             largest = max(oracle._projected(lows0[1:middle], highs0[1:middle]),
                           oracle._projected(lows0[middle:], highs0[middle:]))
@@ -565,6 +595,15 @@ def test_plan_never_enlarges_a_side():
             (), (), (1, bound), (1, bound))
         assert (search.table_box, search.sweep_box) == (((1,) * (h - 2), (bound,) * (h - 2)),
                                                         ((1,) * (size - h), (bound,) * (size - h)))
+        # -Id, alone or with Id, has the same caps; any other target in the batch drops them
+        caps = (search.table_cap, search.sweep_cap)
+        assert caps == (3 * size - 6 - (size - h + 2),) + (3 * size - 6 - h,)
+        for rows in ([(-1, 0, 0, -1)], identity + [(-1, 0, 0, -1)]):
+            planned = oracle._plan(size, bound, {}, rows)
+            assert (planned.table_cap, planned.sweep_cap) == caps
+        for rows in ([matrices.TARGETS["TSTS"].entries()], identity + [(0, -1, 1, 0)]):
+            planned = oracle._plan(size, bound, {}, rows)
+            assert (planned.table_cap, planned.sweep_cap) == (None, None)
 
 
 def test_every_pin_set_matches_direct():
@@ -839,7 +878,7 @@ _TABLE_BOXES = (([], [], 3), ([1, 5], [3, 5], 3), ([1, 5, 1], [3, 5, 2], 3),
 
 
 def test_table_matches_naive_build():
-    runs = [[a * r - x for a in range(1, 4)] for _, (r, _, x, _) in
+    runs = [[a * r - x for a in range(1, 4)] for _, _, (r, _, x, _) in
             oracle._iter_runs([1] * 3, [3] * 3)]
     assert any(min(p) < 0 < max(p) for p in runs) and any(0 in p for p in runs)
     for lows, highs, bound in _TABLE_BOXES:
@@ -871,9 +910,9 @@ def test_filtered_mitm_matches_direct(monkeypatch):
     filtered = []
     real = oracle._build_table
 
-    def recording(lows, highs, bound, keep=None):
+    def recording(lows, highs, bound, keep=None, cap=None):
         filtered.append(keep is not None)
-        return real(lows, highs, bound, keep)
+        return real(lows, highs, bound, keep, cap)
 
     monkeypatch.setattr(oracle, "_build_table", recording)
     names = list(matrices.TARGETS)
@@ -916,14 +955,15 @@ def test_filter_stores_only_the_probed_entries(monkeypatch):
     built = []
     real = oracle._build_table
 
-    def recording(lows, highs, bound, keep=None):
-        built.append((lows, highs, bound, keep))
-        return real(lows, highs, bound, keep)
+    def recording(lows, highs, bound, keep=None, cap=None):
+        built.append((lows, highs, bound, keep, cap))
+        return real(lows, highs, bound, keep, cap)
 
     monkeypatch.setattr(oracle, "_build_table", recording)
     assert survey(9).counts == {name: census.count_solutions(name, 9) for name in matrices.TARGETS}
-    (lows, highs, bound, keep), = built
-    assert keep is not None and len(keep) <= 4 * 9 ** 3
+    # the eight targets are not all +/-Id, so the table has no digit-sum cap
+    (lows, highs, bound, keep, cap), = built
+    assert keep is not None and len(keep) <= 4 * 9 ** 3 and cap is None
     table, full = real(lows, highs, bound, keep)[0], real(lows, highs, bound)[0]
 
     def entries(buckets):
@@ -997,3 +1037,62 @@ def test_concurrent_solves_match_serial():
     finally:
         sys.setswitchinterval(interval)
     assert counts == serial
+
+
+def test_id_solutions_obey_the_digit_sum_bound():
+    # the lemma the caps rest on, checked on the unpruned direct route: every
+    # +/-Id solution of size n sums to at most 3n - 6, and to a multiple of 3
+    for size in range(3, 9):
+        res = solve(OracleQuery(target="Id", size=size, list_solutions=True, method="direct",
+                                max_table_entries=size ** size))
+        assert res.count == census.count_solutions("Id", size) == len(res.solutions)
+        sums = {sum(digits) for digits in res.solutions}
+        assert max(sums) <= 3 * size - 6 and all(total % 3 == 0 for total in sums), size
+    # the bound is reached: the fan quiddity (n - 2, 1, 2, ..., 2, 1) of the
+    # triangulation with one vertex in every triangle is a solution
+    for size in range(3, 13):
+        fan = (size - 2, 1) + (2,) * (size - 3) + (1,)
+        assert len(fan) == size and sum(fan) == 3 * size - 6
+        assert matrices.equal_up_to_sign(matrices.m_n(fan), matrices.IDENTITY), fan
+
+
+def test_capped_id_searches_match_the_census():
+    # Id searches walk only the tuples within their digit-sum caps; unpinned,
+    # with a_1 = v, with a_n = v and with both ends pinned, their counts and
+    # histograms must equal the census rows V(v) and W(first, last)
+    for size in range(8, 13):
+        n = size - 2
+        ends = range(1, n + 1)
+
+        def w_row(first, last):
+            return census.series_W(first, last, n).coeff(n)
+
+        res = solve(OracleQuery(target="Id", size=size))
+        assert (res.count, res.by_last) == (census.count_solutions("Id", size),
+                                            census.by_last("Id", size)), size
+        assert res.by_first_last == {(f, l): w_row(f, l) for f in ends for l in ends
+                                     if w_row(f, l)}, size
+        for v in ends:
+            v_row = census.series_V(v, n).coeff(n)
+            first = solve(OracleQuery(target="Id", size=size, constraints={1: v}))
+            assert first.count == v_row, (size, v)
+            assert first.by_last == {l: w_row(v, l) for l in ends if w_row(v, l)}, (size, v)
+            last = solve(OracleQuery(target="Id", size=size, constraints={size: v}))
+            assert last.count == v_row, (size, v)
+            assert last.by_first_last == {(f, v): w_row(f, v) for f in ends if w_row(f, v)}
+            for pins in ({1: v, size: 1}, {1: 2, size: v}):
+                both = solve(OracleQuery(target="Id", size=size, constraints=pins)).count
+                assert both == w_row(pins[1], pins[size]), (size, pins)
+    # at size 10 the capped listings are the uncapped ones, at one and two workers
+    real = oracle._plan
+
+    def uncapped(*args):
+        return real(*args)._replace(table_cap=None, sweep_cap=None)
+
+    capped = [_listing("Id", 10, constraints=pins).solutions for pins in (None, {1: 3}, {10: 2})]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_plan", uncapped)
+        assert capped == [_listing("Id", 10, constraints=pins).solutions
+                          for pins in (None, {1: 3}, {10: 2})]
+    assert solve(OracleQuery(target="Id", size=10, list_solutions=True,
+                             workers=2)).solutions == capped[0]
