@@ -15,10 +15,14 @@ Families, all counting solution tuples of size n + 2 for their target
 The series of one truncation order come from one cached build: P and Q
 solved from their functional equations, and rows grown by U1 = 1 - 1/P.
 The named-target rows are products of the same build's P, Q, U1, V1
-and W11 (S = X (Q - 1)(P - 1), for one), so a table of any family, and
-a count or last-component histogram of any size, reads one build.  No
-closed form enters it; P, Q, Ptilde, D, E, F also exist as closed-form
-rows (see `formulas`), the independent second route.
+and W11 (S = X (Q - 1)(P - 1), for one).  The TSTS row x, whose entry n
+is V1's entry n + 1, is x = (Q - 1)/(X P) = P + X^2 P^2 (Q - 1), by
+Q's functional equation, so it too is exact up to the build's order.
+So a table to index n, a series of order n, and a count or
+last-component histogram at size n + 2 all read the one build of order
+n.  An order above a fixed limit is refused with OrderLimitError.  No
+closed form enters a build; P, Q, Ptilde, D, E, F also exist as
+closed-form rows (see `formulas`), the independent second route.
 """
 
 import csv
@@ -43,6 +47,15 @@ _FAMILY_TABLE = {
 FAMILIES = tuple(_FAMILY_TABLE)
 SERIES_FAMILIES = tuple(family for family, (_, _, series) in _FAMILY_TABLE.items() if series)
 
+# The largest order a census read builds or a table prints.  A build of
+# order 1000 takes about 2 s, and one of twice the order more than ten
+# times as long, so a larger order is refused rather than left to run.
+_MAX_ORDER = 1000
+
+
+class OrderLimitError(RuntimeError):
+    """A census order above _MAX_ORDER, refused before anything is built."""
+
 
 def _solve_P_Q(order):
     """Coefficients 0..order of P and Q from their functional equations,
@@ -66,27 +79,42 @@ def _solve_P_Q(order):
 
 
 class _Build:
-    """Every series of one truncation order.
+    """Every series of one truncation order, each read through `row`.
 
     The rows U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1)
     are grown by one multiplication each, under a lock that threads share,
     the first time they are asked for.  U1, V1 and W11 have no constant
     term, so row j starts at X^j and a row past the order is zero.
+
+    The named-target rows S, T, u..y are products of P, Q, U1, V1 and W11,
+    made together the first time one of them is read.  Since 1 - U1 = 1/P,
+    the sums over the last component collapse: S and y, one size shorter,
+    are sum_d (d-1) V(d) = (Q-1)(P-1) and sum_d (d-2) V(d) = V1 U1^2 P^2,
+    and w's sum_k W(1,k) = W11 P = V1.  x(n) is V1 at n + 1, so
+    x = (Q-1)/(X P); dividing Q's functional equation
+    Q - 1 = X P^2 + X^3 P^3 (Q-1) by X P gives x = P + X^2 P^2 (Q-1).
+    So every row is exact up to the order: index n is read at order n.
+    An entry below its family's first index is not a count.
     """
 
     def __init__(self, order):
-        p, q = _solve_P_Q(order)
+        p, q = map(TruncSeries, _solve_P_Q(order))
         one = TruncSeries.one(order)
-        self.p = TruncSeries(p)
-        self.q = TruncSeries(q)
-        self.p_inverse = self.p.inverse()
-        self.u1 = one.sub(self.p_inverse)
-        v1 = self.q.sub(one).mul(self.p_inverse)
-        self._rows = {"U": [self.u1], "V": [v1], "W": [self.p_inverse.mul(v1)]}
+        p_inverse = p.inverse()
+        self.u1 = one.sub(p_inverse)
+        v1 = q.sub(one).mul(p_inverse)
+        self._fixed = {"P": p, "Q": q, "Ptilde": p_inverse}
+        self._rows = {"U": [self.u1], "V": [v1], "W": [p_inverse.mul(v1)]}
         self._grow = threading.Lock()
 
-    def row(self, family, j):
-        """Row j >= 1 of U, V or W(1, .)."""
+    def row(self, family, k=None, l=None):
+        """P, Q, Ptilde, U(k), V(k), W(k, l) or a named-target row S, T, u..y.
+
+        W(k, l) is W(1, k + l - 1), so row("W", j) is W(1, j).
+        """
+        if k is None:
+            return self._fixed[family] if family in self._fixed else self._targets[family]
+        j = k + (l or 1) - 1
         if j > self.u1.order:
             return TruncSeries.zero(self.u1.order)
         rows = self._rows[family]
@@ -97,45 +125,40 @@ class _Build:
         return rows[j - 1]
 
     @cached_property
-    def targets(self):
-        """The rows Q, S, T, u..y at n = 0..order-1, as products of P, Q, U1, V1 and W11.
-
-        Since 1 - U1 = 1/P, the sums over the last component collapse: S
-        and y, one size shorter, are sum_d (d-1) V(d) = (Q-1)(P-1) and
-        sum_d (d-2) V(d) = V1 U1^2 P^2, and w's sum_k W(1,k) = W11 P = V1.
-        x(n) reads V1 at n + 1, hence the one index short of the order.
-        An entry below its family's first index is not a count.
-        """
+    def _targets(self):
         one = TruncSeries.one(self.u1.order)
-        p, q, u1 = self.p, self.q, self.u1
+        p, q, u1 = self._fixed["P"], self._fixed["Q"], self.u1
         q1, v1, w11 = q - one, self.row("V", 1), self.row("W", 1)
         s = (q1 * (p - one)).shift(1)
-        rows = {
-            "Q": q, "S": s, "T": s.shift(1) + q1, "u": q - v1,
-            "v": q1.shift(1) + s, "w": q - v1 - v1 + w11,
-            "y": (v1 * u1 * u1 * p * p).shift(1),
-        }
-        return {tag: row.coeffs[:-1] for tag, row in rows.items()} | {"x": v1.coeffs[1:]}
+        return {"S": s, "T": s.shift(1) + q1, "u": q - v1, "v": q1.shift(1) + s,
+                "w": q - v1 - v1 + w11, "x": p + (p * p * q1).shift(2),
+                "y": (v1 * u1 * u1 * p * p).shift(1)}
+
+
+def _check_order(order):
+    if order > _MAX_ORDER:
+        raise OrderLimitError(f"census order {order} is above the limit {_MAX_ORDER}")
 
 
 @lru_cache(maxsize=None)
 def _build(order):
+    _check_order(order)
     return _Build(order)
 
 
 def series_P(order):
     """P truncated at `order`, solved from its functional equation."""
-    return _build(order).p
+    return _build(order).row("P")
 
 
 def series_Q(order):
     """Q truncated at `order`, solved from its functional equation."""
-    return _build(order).q
+    return _build(order).row("Q")
 
 
 def series_P_inverse(order):
     """1/P truncated at `order`; the series route to the Ptilde row."""
-    return _build(order).p_inverse
+    return _build(order).row("Ptilde")
 
 
 def series_U(k, order):
@@ -154,22 +177,17 @@ def series_W(k, l, order):
     return series_row("W", order, k, l)[1]
 
 
+def _label(family, k, l):
+    """A row's name in its table: S, V(2) or W(2,3)."""
+    return family if k is None else f"{family}({k})" if l is None else f"{family}({k},{l})"
+
+
 def series_row(family, order, k=None, l=None):
     """(label, series) of P, Q, Ptilde, U(k), V(k) or W(k,l) at `order`."""
     if family not in SERIES_FAMILIES:
         raise ValueError(f"unknown series family {family!r}")
     check_row_indices(family, k, l)
-    return _series_row(family, order, k, l)
-
-
-def _series_row(family, order, k, l):
-    """series_row without the checks, for callers that made them."""
-    build = _build(order)
-    if family == "W":
-        return f"W({k},{l})", build.row("W", k + l - 1)
-    if k is not None:
-        return f"{family}({k})", build.row(family, k)
-    return family, {"P": build.p, "Q": build.q, "Ptilde": build.p_inverse}[family]
+    return _label(family, k, l), _build(order).row(family, k, l)
 
 
 def by_last(target_name, size):
@@ -179,7 +197,7 @@ def by_last(target_name, size):
     if size < 3:
         raise ValueError("size must be at least 3")
     n = size - 2
-    build = _build(n + 1)
+    build = _build(n)
     if target_name == "Id":
         counts = {k: build.row("V", k).coeff(n) for k in range(1, n + 1)}
     elif target_name == "S":
@@ -189,7 +207,7 @@ def by_last(target_name, size):
     else:
         # a T solution ending in 1 is an S solution one shorter with 1
         # appended; one ending in d >= 2 is an Id solution ending in d - 1
-        counts = {1: build.targets["S"][n - 1]}
+        counts = {1: build.row("S").coeff(n - 1)}
         counts.update((d, build.row("V", d - 1).coeff(n)) for d in range(2, n + 2))
     return {d: count for d, count in counts.items() if count}
 
@@ -216,7 +234,7 @@ def count_solutions(target_name, size):
     if size <= 2:
         return small[size - 1]
     n = size - 2
-    return _build(n + 1).targets[row][n]
+    return _build(n).row(row).coeff(n)
 
 
 @dataclass
@@ -274,18 +292,16 @@ def census_table(family, n_max, k=None, l=None):
     if family not in _FAMILY_TABLE:
         raise ValueError(f"unknown family {family!r}")
     check_row_indices(family, k, l)
-    start, _, series = _FAMILY_TABLE[family]
+    start = _FAMILY_TABLE[family][0]
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")
+    # the closed forms build nothing, so the limit is checked here too
+    _check_order(n_max)
     span = range(start, n_max + 1)
 
     if family in _FORMULA_FAMILIES:
         fn = _FORMULA_FAMILIES[family]
         return CountTable(family, {n: fn(n) for n in span}, "formula")
 
-    if series:
-        label, ts = _series_row(family, n_max + 1, k, l)
-        row = ts.coeffs
-    else:
-        label, row = family, _build(n_max + 1).targets[family]
-    return CountTable(label, {n: row[n] for n in span}, "series")
+    row = _build(n_max).row(family, k, l).coeffs
+    return CountTable(_label(family, k, l), {n: row[n] for n in span}, "series")

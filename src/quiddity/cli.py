@@ -2,8 +2,9 @@
 exhaustive oracle, and the full verification suite.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
-error, 3 resource budget exceeded, 4 any other failure, such as a fork
-that fails, reported as one line "error: <type>: <message>".
+error, 3 resource budget exceeded or census order above the limit, 4 any
+other failure, such as a fork that fails, reported as one line
+"error: <type>: <message>".
 """
 
 import argparse
@@ -176,7 +177,7 @@ def main(argv=None):
         if getattr(args, "workers", 1) < 1:
             raise ValueError("--workers must be at least 1")
         return args.handler(args)
-    except oracle.ResourceBudgetError as exc:
+    except (oracle.ResourceBudgetError, census.OrderLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

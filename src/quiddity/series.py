@@ -117,9 +117,10 @@ class TruncSeries:
 
     def shift(self, j):
         """Multiply by X^j, dropping coefficients past the order."""
-        if j < 0 or j > self.order:
-            raise IndexError(f"shift amount {j} outside 0..{self.order}")
-        return TruncSeries((0,) * j + self.coeffs[: len(self.coeffs) - j])
+        if j < 0:
+            raise IndexError(f"shift amount {j} is negative")
+        n = len(self.coeffs)
+        return TruncSeries(((0,) * min(j, n) + self.coeffs)[:n])
 
     def __add__(self, other):
         return self.add(other)

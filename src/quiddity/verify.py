@@ -143,10 +143,11 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
     if order < 3:
         raise ValueError("identity order must be at least 3")
     report = report if report is not None else VerifyReport()
-    one = TruncSeries.one(order)
+    # the census refuses an order above its limit before anything is allocated
     p = census.series_P(order)
     q = census.series_Q(order)
     p_inv = census.series_P_inverse(order)
+    one = TruncSeries.one(order)
     p2 = p.mul(p)
     xp2 = p2.shift(1)
 

@@ -1,10 +1,12 @@
 import json
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from quiddity import census, formulas
+from quiddity import census, formulas, verify
+from quiddity.matrices import TARGETS
 from quiddity.series import TruncSeries
 
 
@@ -80,38 +82,109 @@ def test_named_target_table_is_one_build():
         assert census._build.cache_info().misses == 1, tag
 
 
-def _ladder_targets(build):
-    """The named-target rows as sums over the V and W(1, .) ladders, the reference
-    for the products of _Build.targets."""
+def _ladder_targets(build, x_last):
+    """The named-target rows at n = 0..order as sums over the V and W(1, .)
+    ladders, the reference for the products that _Build.row reads.  x's
+    entry at the order is V1 one index past it, given as x_last."""
     order = build.u1.order
-    q = build.q.coeffs
-    v = {d: build.row("V", d).coeffs for d in range(1, order + 1)}
-    w = {k: build.row("W", k).coeffs for k in range(1, order + 1)}
-    s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in range(order)]
+    q = build.row("Q").coeffs
+    # one ladder row past the order, zero there, so that V1 and W11 exist at order 0
+    v = {d: build.row("V", d).coeffs for d in range(1, order + 2)}
+    w = {k: build.row("W", k).coeffs for k in range(1, order + 2)}
+    span = range(order + 1)
+    s = [sum((d - 1) * v[d][n - 1] for d in range(2, n)) for n in span]
     return {
-        "Q": list(q[:order]),
+        "Q": list(q),
         "S": s,
-        "T": [s[n - 1] + q[n] if n else 0 for n in range(order)],
-        "u": [q[n] - v[1][n] for n in range(order)],
-        "v": [q[n - 1] + s[n] if n > 1 else 0 for n in range(order)],
-        "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n]
-              for n in range(order)],
-        "x": [v[1][n + 1] for n in range(order)],
-        "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in range(order)],
+        "T": [s[n - 1] + q[n] if n else 0 for n in span],
+        "u": [q[n] - v[1][n] for n in span],
+        "v": [q[n - 1] + s[n] if n > 1 else 0 for n in span],
+        "w": [q[n] - 2 * sum(w[k][n] for k in range(1, n + 1)) + w[1][n] for n in span],
+        "x": [v[1][n + 1] for n in range(order)] + [x_last],
+        "y": [sum((d - 2) * v[d][n - 1] for d in range(3, n)) for n in span],
     }
 
 
 def test_target_products_match_the_ladder_sums():
-    for order in (*range(3, 13), 48, 100):
-        products = {tag: list(row) for tag, row in census._Build(order).targets.items()}
-        assert products == _ladder_targets(census._Build(order)), order
+    for order in (*range(13), 48, 100):
+        build = census._Build(order)
+        products = {tag: list(build.row(tag).coeffs)
+                    for tag in ("Q", "S", "T", "u", "v", "w", "x", "y")}
+        x_last = census._Build(order + 1).row("V", 1).coeff(order + 1)
+        assert products == _ladder_targets(build, x_last), order
 
 
 def test_named_target_rows_leave_the_ladders_ungrown():
     census._build.cache_clear()
-    build = census._build(49)
-    assert build.targets["S"][48] == census.count_solutions("S", 50)
+    build = census._build(48)
+    for family in ("P", "Q", "Ptilde"):
+        build.row(family)
+    assert "_targets" not in vars(build)
+    assert build.row("S").coeff(48) == census.count_solutions("S", 50)
+    assert census._build.cache_info().misses == 1
     assert (len(build._rows["V"]), len(build._rows["W"])) == (1, 1)
+
+
+# row indices for the families that take them, more than one for each
+_EDGE_INDICES = {"U": ({"k": 1}, {"k": 2}), "V": ({"k": 1}, {"k": 2}),
+                 "W": ({"k": 1, "l": 1}, {"k": 1, "l": 2}, {"k": 2, "l": 1})}
+
+
+def test_edge_orders_read_the_heads_of_longer_rows():
+    for family in census.FAMILIES:
+        for indices in _EDGE_INDICES.get(family, ({},)):
+            full = census.census_table(family, 12, **indices)
+            start = min(full.entries)
+            for n_max in range(start, 5):
+                table = census.census_table(family, n_max, **indices)
+                head = {n: full.entries[n] for n in range(start, n_max + 1)}
+                assert (table.family, table.entries) == (full.family, head), (family, n_max)
+            if family in census.SERIES_FAMILIES:
+                label, row = census.series_row(family, 12, **indices)
+                for order in (0, 1):
+                    expected = (label, TruncSeries(row.coeffs[:order + 1]))
+                    assert census.series_row(family, order, **indices) == expected, (family, order)
+    rows = {"Id": "Q", "S": "S", "T": "T", "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x",
+            "STST": "y"}
+    for size in (3, 4):
+        n = size - 2
+        for name, family in rows.items():
+            assert census.count_solutions(name, size) == census.census_table(family, 12).entries[n]
+        v_column = {k: census.census_table("V", 12, k=k).entries[n] for k in range(1, n + 1)}
+        assert census.by_last("Id", size) == v_column
+        for name in ("Id", "S", "T"):
+            hist = census.by_last(name, size)
+            assert sum(hist.values()) == census.census_table(rows[name], 12).entries[n]
+
+
+def test_orders_above_the_limit_are_refused():
+    limit = census._MAX_ORDER
+    start = time.perf_counter()
+    for family in census.FAMILIES:
+        indices = _EDGE_INDICES.get(family, ({},))[-1]
+        with pytest.raises(census.OrderLimitError):
+            census.census_table(family, limit + 1, **indices)
+        if family in census.SERIES_FAMILIES:
+            with pytest.raises(census.OrderLimitError):
+                census.series_row(family, limit + 1, **indices)
+    for name in TARGETS:
+        with pytest.raises(census.OrderLimitError):
+            census.count_solutions(name, limit + 3)
+    for name in ("Id", "S", "T"):
+        with pytest.raises(census.OrderLimitError):
+            census.by_last(name, limit + 3)
+    with pytest.raises(census.OrderLimitError):
+        verify.identity_checks(order=limit + 1)
+    assert time.perf_counter() - start < 1
+    # 103 is the largest order the tests, demos, verify defaults and benchmark read;
+    # Ptilde's closed form, in its table and in identity_checks, takes seconds there
+    for family in census.FAMILIES:
+        indices = _EDGE_INDICES.get(family, ({},))[-1]
+        if family != "Ptilde":
+            assert census.census_table(family, 103, **indices).entries[103] >= 0, family
+        if family in census.SERIES_FAMILIES:
+            assert census.series_row(family, 103, **indices)[1].order == 103, family
+    assert [census.count_solutions(name, 105) > 0 for name in TARGETS] == [True] * 8
 
 
 def test_count_S_by_last():

@@ -5,7 +5,8 @@ import sys
 import time
 from pathlib import Path
 
-from quiddity import cli, oracle
+from quiddity import census, cli, oracle
+from quiddity.matrices import TARGETS
 
 RECORDED = Path(__file__).parent / "data" / "cli_outputs.json"
 
@@ -176,6 +177,38 @@ def test_resource_exhaustion_exit_3(capsys):
     code, _, err = run_cli(capsys, "oracle", "--target", "Id", "--size", "26")
     assert code == 3
     assert "budget" in err
+
+
+def test_census_orders_above_the_limit_exit_3(capsys):
+    # the table, series and identity orders are each refused at once, with one line
+    past = str(10 ** 20)
+    for argv in (("table", "--family", "D", "--n-max", past),
+                 ("table", "--family", "x", "--n-max", past),
+                 ("series", "--family", "P", "--order", past),
+                 ("verify", "--max-size", "0", "--order", past)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (3, ""), argv
+        assert err == f"error: census order {past} is above the limit 1000\n", argv
+
+
+def test_one_build_per_order(capsys):
+    # every table to n = 24, every series of order 24, and each count and
+    # histogram at size 26 read the one series build of order 24
+    rows = {"U": ["--k", "2"], "V": ["--k", "5"], "W": ["--k", "2", "--l", "3"]}
+    census._build.cache_clear()
+    for family in census.FAMILIES:
+        argv = ("table", "--family", family, "--n-max", "24", *rows.get(family, []))
+        assert run_cli(capsys, *argv)[0] == 0, family
+    for family in census.SERIES_FAMILIES:
+        argv = ("series", "--family", family, "--order", "24", *rows.get(family, []))
+        assert run_cli(capsys, *argv)[0] == 0, family
+    for name in TARGETS:
+        census.count_solutions(name, 26)
+    for name in ("Id", "S", "T"):
+        census.by_last(name, 26)
+    assert census._build.cache_info().misses == 1
 
 
 def test_crash_exits_4(capsys, monkeypatch):

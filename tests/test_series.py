@@ -84,10 +84,19 @@ def test_shift():
     a = TruncSeries([1, 2, 3, 4])
     assert a.shift(0) == a
     assert a.shift(2).coeffs == (0, 0, 1, 2)
-    with pytest.raises(IndexError):
-        a.shift(4)
+    # a shift past the order drops every coefficient
+    assert a.shift(4) == TruncSeries.zero(3)
     with pytest.raises(IndexError):
         a.shift(-1)
+    for order in range(5):
+        b = TruncSeries([(-3) ** i for i in range(order + 1)])
+        for j in range(order + 4):
+            # multiply untruncated by X^j, then truncate back to the order
+            wide = TruncSeries(b.coeffs + (0,) * j)
+            power = TruncSeries([int(i == j) for i in range(order + j + 1)])
+            assert b.shift(j).coeffs == wide.mul(power).coeffs[:order + 1], (order, j)
+        with pytest.raises(IndexError):
+            b.shift(-1)
 
 
 def test_inverse_of_geometric_series():
