@@ -136,6 +136,8 @@ class _Build:
 
 
 def _check_order(order):
+    if order < 0:
+        raise ValueError(f"census order {order} is negative")
     if order > _MAX_ORDER:
         raise OrderLimitError(f"census order {order} is above the limit {_MAX_ORDER}")
 

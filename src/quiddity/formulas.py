@@ -1,13 +1,17 @@
 """Closed-form coefficient and count formulas, evaluated exactly.
 
-Every closed form below is a finite binomial sum whose terms are
-rationals.  Each one hands its (numerator, denominator) terms to one
-exact-sum kernel, which adds them as exact rationals and requires the
-total to be an integer; anything else raises NonIntegralSumError,
-because a fractional total can only mean a transcription or convention
-bug.  Per-term integrality is deliberately not assumed.
+Three closed forms are binomial sums: Ptilde's triple sum, one sum for
+every power P^e (e >= 1), and D.  Each hands its (numerator,
+denominator) terms to one exact-sum kernel, which adds them as exact
+rationals and requires an integer total; anything else raises
+NonIntegralSumError, since a fractional total can only mean a
+transcription or convention bug.  Per-term integrality is not assumed.
 
-Q, Ptilde, V1, W11, P^e and D are summed once per process for each
+Q - 1, V1 and W11 are X P^e / (1 - X^3 P^3) for e = 2, 1 and 0, so each
+is a ladder of P-power coefficients, term for term:
+[X^n] X P^e / (1 - X^3 P^3) = sum over j >= 0 of [X^(n-1-3j)] P^(e+3j).
+
+Q, Ptilde, V1, W11, P^e and D are evaluated once per process for each
 argument and then read from a cache; E and F, which read many D values,
 and a session that runs a table and then `verify` gain from it.  Code
 that patches `binom_conv` or `_exact_sum` must first `cache_clear()` them.
@@ -67,17 +71,17 @@ def _memo(fn):
     return memo
 
 
+def _ladder(e, n):
+    """[X^n] X P^e / (1 - X^3 P^3) through the memoized coeff_powP; 0 for n < 1."""
+    return sum(coeff_powP(e + 3 * j, n - 1 - 3 * j) for j in range((n + 2) // 3))
+
+
 @_memo
 def coeff_Q(n):
     """Number of identity-target solutions of size n + 2 (n >= 1); Q_0 = 1 is the formal seed."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 1
-    return _exact_sum(f"Q_{n}", (
-        ((3 * (k - s) + 2) * binom_conv(n - 3 * k + s - 2, s)
-         * binom_conv(2 * n - 3 * k - s - 1, n - 3 * k - 1), n - s + 1)
-        for k in range(n // 3 + 1) for s in range(k + 1)))
+    return 1 if n == 0 else _ladder(2, n)
 
 
 @_memo
@@ -101,10 +105,7 @@ def coeff_V1(n):
     """Identity-target solutions of size n + 2 with last component 1 (n >= 1)."""
     if n < 1:
         raise ValueError("index must be at least 1")
-    return _exact_sum(f"V1_{n}", (
-        ((3 * j + 1) * binom_conv(n - 3 * j - 2 * k - 2, k)
-         * binom_conv(2 * n - 4 * k - 3 * j - 2, n - 3 * k - 3 * j - 1), n - k)
-        for j in range((n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
+    return _ladder(1, n)
 
 
 @_memo
@@ -112,14 +113,7 @@ def coeff_W11(n):
     """Identity-target solutions of size n + 2 with first and last component 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    return _exact_sum(f"W11_{n}", (
-        (3 * j * binom_conv(n - 3 * j - 2 * k - 2, k)
-         * binom_conv(2 * n - 3 * j - 4 * k - 3, n - 3 * j - 3 * k - 1), n - 1 - k)
-        for j in range(1, (n - 1) // 3 + 1) for k in range((n - 3 * j - 1) // 3 + 1)))
+    return (n == 1) + _ladder(3, n - 3)
 
 
 @_memo

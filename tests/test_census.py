@@ -187,6 +187,13 @@ def test_orders_above_the_limit_are_refused():
     assert [census.count_solutions(name, 105) > 0 for name in TARGETS] == [True] * 8
 
 
+def test_negative_orders_are_refused_by_name():
+    for read in (lambda: census.series_P(-1), lambda: census.series_V(1, -1),
+                 lambda: census.series_row("U", -2, 1)):
+        with pytest.raises(ValueError, match=r"^census order -[12] is negative$"):
+            read()
+
+
 def test_count_S_by_last():
     with pytest.raises(ValueError):
         census.by_last("S", 2)

@@ -151,6 +151,12 @@ def test_value_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "--workers", "0")[0] == 2
 
 
+def test_negative_series_order_keeps_its_message(capsys):
+    # the CLI refuses it before the census, which would name the order instead
+    code, out, err = run_cli(capsys, "series", "--family", "P", "--order", "-1")
+    assert (code, out, err) == (2, "", "error: --order must be nonnegative\n")
+
+
 def test_verify_order_below_3_exits_2(capsys):
     for order in ("0", "2"):
         code, out, err = run_cli(capsys, "verify", "--max-size", "0", "--order", order)

@@ -129,9 +129,10 @@ def test_every_closed_form_sums_through_the_kernel(monkeypatch):
 
     monkeypatch.setattr(formulas, "_exact_sum", spy)
     # each closed form at its smallest index past the special cases;
-    # E and F reach the kernel through D
-    cases = [(formulas.coeff_Q, 1, "Q_1"), (formulas.coeff_Ptilde, 1, "Ptilde_1"),
-             (formulas.coeff_V1, 1, "V1_1"), (formulas.coeff_W11, 2, "W11_2"),
+    # E and F reach the kernel through D, and Q, V1 and W11 through the
+    # first term of their ladder of powers of P
+    cases = [(formulas.coeff_Q, 1, "[X^0]P^2"), (formulas.coeff_Ptilde, 1, "Ptilde_1"),
+             (formulas.coeff_V1, 1, "[X^0]P^1"), (formulas.coeff_W11, 4, "[X^0]P^3"),
              (lambda n: formulas.coeff_powP(2, n), 0, "[X^0]P^2"),
              (formulas.coeff_D, 0, "D_0"), (formulas.coeff_E, 4, "D_1"),
              (formulas.coeff_F, 3, "D_1")]
@@ -139,6 +140,19 @@ def test_every_closed_form_sums_through_the_kernel(monkeypatch):
         with pytest.raises(Sentinel) as caught:
             fn(n)
         assert caught.value.args == (label,)
+    # below its ladder's first rung, W11 is its X term alone
+    assert [formulas.coeff_W11(n) for n in (2, 3)] == [0, 0]
+
+
+def test_closed_forms_equal_one_series_build_to_order_100():
+    order = 100
+    p, q = census.series_P(order), census.series_Q(order)
+    v1, w11 = census.series_V(1, order), census.series_W(1, 1, order)
+    assert [formulas.coeff_Q(n) for n in range(order + 1)] == list(q.coeffs)
+    assert [formulas.coeff_V1(n) for n in range(1, order + 1)] == list(v1.coeffs[1:])
+    assert [formulas.coeff_W11(n) for n in range(order + 1)] == list(w11.coeffs)
+    for e in (1, 2, 3):
+        assert [formulas.coeff_powP(e, n) for n in range(order + 1)] == list(p.pow(e).coeffs)
 
 
 def test_each_closed_form_value_is_summed_once_per_process(monkeypatch):
