@@ -4,12 +4,15 @@ exhaustive oracle, and the full verification suite.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
 error, 3 resource budget exceeded or census order above the limit, 4 any
 other failure, such as a fork that fails, reported as one line
-"error: <type>: <message>".
+"error: <type>: <message>", 141 (128 + SIGPIPE) stdout closed by its
+reader, with nothing on stderr.
 """
 
 import argparse
 import csv
 import json
+import os
+import select
 import sys
 
 from . import census, oracle, verify
@@ -19,6 +22,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_CRASH = 4
+EXIT_CLOSED_STDOUT = 141
 
 
 def _print_table(table, output_format):
@@ -73,8 +77,7 @@ def cmd_oracle(args):
     elif args.list_solutions:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow([f"a{i}" for i in range(1, result.size + 1)])
-        for digits in result.solutions:
-            writer.writerow(digits)
+        writer.writerows(result.solutions)
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["target", "size", "bound", "count",
@@ -176,7 +179,9 @@ def main(argv=None):
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("--workers must be at least 1")
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises inside this try
+        return code
     except (oracle.ResourceBudgetError, census.OrderLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -184,8 +189,23 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # any other failure, such as a fork that fails, is no mismatch
+        # stdout's reader has gone (a pipe broken in a computation leaves it
+        # open): point it at devnull, so that the exit-time flush stays silent
+        if isinstance(exc, BrokenPipeError) and _stdout_closed():
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_CLOSED_STDOUT
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CRASH
+
+
+def _stdout_closed():
+    """Whether stdout is a pipe whose reader has gone, which poll reports as an error."""
+    try:
+        poller = select.poll()
+        poller.register(sys.stdout.fileno(), select.POLLOUT)
+    except (AttributeError, OSError):  # no poll, or no descriptor, as under a test's capture
+        return False
+    return any(mask & select.POLLERR for _, mask in poller.poll(0))
 
 
 def run():

@@ -11,10 +11,10 @@ Q - 1, V1 and W11 are X P^e / (1 - X^3 P^3) for e = 2, 1 and 0, so each
 is a ladder of P-power coefficients, term for term:
 [X^n] X P^e / (1 - X^3 P^3) = sum over j >= 0 of [X^(n-1-3j)] P^(e+3j).
 
-Q, Ptilde, V1, W11, P^e and D are evaluated once per process for each
-argument and then read from a cache; E and F, which read many D values,
-and a session that runs a table and then `verify` gain from it.  Code
-that patches `binom_conv` or `_exact_sum` must first `cache_clear()` them.
+P^e, Ptilde and D, the forms that sum terms, are evaluated once per
+process for each argument and then read from a cache, which the ladders,
+E, F and a table followed by `verify` read again.  Code that patches
+`binom_conv` or `_exact_sum` must first `cache_clear()` those three.
 
 Series letters used across the package (defined by what they count, all
 for tuples of size n + 2):
@@ -76,7 +76,6 @@ def _ladder(e, n):
     return sum(coeff_powP(e + 3 * j, n - 1 - 3 * j) for j in range((n + 2) // 3))
 
 
-@_memo
 def coeff_Q(n):
     """Number of identity-target solutions of size n + 2 (n >= 1); Q_0 = 1 is the formal seed."""
     if n < 0:
@@ -100,7 +99,6 @@ def coeff_Ptilde(n):
         for l in range((n - j - 2 * k - 1) // 3 + 1)))
 
 
-@_memo
 def coeff_V1(n):
     """Identity-target solutions of size n + 2 with last component 1 (n >= 1)."""
     if n < 1:
@@ -108,7 +106,6 @@ def coeff_V1(n):
     return _ladder(1, n)
 
 
-@_memo
 def coeff_W11(n):
     """Identity-target solutions of size n + 2 with first and last component 1."""
     if n < 0:

@@ -458,8 +458,9 @@ def _join(search, slows, shighs):
     only suffixes within the sweep cap are walked.  Each probe group
     steps its probe along every run of suffixes and signs it only on a
     hit (a group with d = 0 does not step, so its first miss ends its
-    run), and a_1's window is tested before a_h is solved.  The bound test of suffix, head and tail is taken once per
-    hit, so a solution costs two floor divisions and one tally increment.
+    run), and a_1's window is tested before a_h is solved.  The bound
+    test of suffix, head and tail is taken once per hit, so a solution
+    costs two floor divisions and one tally increment.
     Returns (tallies, listings): per target, the tally {(first, last,
     touched): solutions}, first from the head if any, and the tuples
     head + solution + tail, their table digits decoded from code, or None.

@@ -15,7 +15,6 @@ from . import census, formulas, oracle
 from .matrices import TARGETS
 from .series import TruncSeries
 
-GOLDEN_ORDER = 16
 IDENTITY_ORDER = 32
 ORACLE_MAX_SIZE = 12
 
@@ -57,39 +56,35 @@ class VerifyReport:
         return None
 
 
-def golden_checks(report=None):
+def golden_checks():
     """Compare formula and series routes against the frozen tables.
 
     The Q row leads: it anchors everything else, so a broken Q formula
-    is named by the very first failing check.
+    is named by the very first failing check.  The series rows are read
+    from one census build, of the order their rows end at, which the
+    family rows read too.
     """
-    report = report if report is not None else VerifyReport()
+    report = VerifyReport()
     golden = load_golden()
 
     rows = golden["series_rows"]
     q_row = rows["Q"]["values"]
-    width = len(q_row)  # rows cover n = 0..width-1
-    report.check("golden:Q:formula", q_row,
-                 [formulas.coeff_Q(n) for n in range(width)])
-    report.check("golden:Q:series", q_row,
-                 list(census.series_Q(GOLDEN_ORDER).coeffs[:width]))
-
-    pt_row = rows["Ptilde"]["values"]
-    report.check("golden:Ptilde:formula", pt_row,
-                 [formulas.coeff_Ptilde(n) for n in range(width)])
-    report.check("golden:Ptilde:series", pt_row,
-                 list(census.series_P_inverse(GOLDEN_ORDER).coeffs[:width]))
-
+    end = len(q_row) - 1  # rows cover n = 0..end
+    for label, formula in (("Q", formulas.coeff_Q), ("Ptilde", formulas.coeff_Ptilde)):
+        row = rows[label]["values"]
+        report.check(f"golden:{label}:formula", row, [formula(n) for n in range(end + 1)])
+        report.check(f"golden:{label}:series", row,
+                     list(census.series_row(label, end)[1].coeffs))
     for label, k in (("U2", 2), ("U3", 3)):
         report.check(f"golden:{label}:series", rows[label]["values"],
-                     list(census.series_U(k, GOLDEN_ORDER).coeffs[:width]))
+                     list(census.series_U(k, end).coeffs))
 
     v_rows = golden["V_rows"]
     for key in sorted(v_rows, key=int):
         report.check(f"golden:V:row-{key}", v_rows[key],
-                     list(census.series_V(int(key), GOLDEN_ORDER).coeffs[:width]))
+                     list(census.series_V(int(key), end).coeffs))
     column_sums = [sum(v_rows[str(k)][n] for k in range(1, n + 1))
-                   for n in range(1, width)]
+                   for n in range(1, end + 1)]
     report.check("golden:V:column-sums", q_row[1:], column_sums)
 
     dissection = golden["dissection_rows"]
@@ -116,13 +111,13 @@ def golden_checks(report=None):
     w_rows = golden["W1k_rows"]
     for key in sorted(w_rows, key=int):
         report.check(f"golden:W:row-{key}", w_rows[key],
-                     list(census.series_W(1, int(key), GOLDEN_ORDER).coeffs[:width]))
+                     list(census.series_W(1, int(key), end).coeffs))
     w_sums = [sum(w_rows[str(k)][n] for k in range(1, n + 1))
-              for n in range(1, width)]
+              for n in range(1, end + 1)]
     report.check("golden:W:column-sums", v_rows["1"][1:], w_sums)
     for first, last, n, value in golden["W_spots"]:
         report.check(f"golden:W:spot-{first}-{last}-{n}", value,
-                     census.series_W(first, last, GOLDEN_ORDER).coeff(n))
+                     census.series_W(first, last, end).coeff(n))
 
     families = golden["family_rows"]
     for tag in ("S", "T", "u", "v", "w", "x", "y"):
@@ -138,11 +133,11 @@ def golden_checks(report=None):
     return report
 
 
-def identity_checks(report=None, order=IDENTITY_ORDER):
+def identity_checks(order=IDENTITY_ORDER):
     """Exact series identities tying the families together."""
     if order < 3:
         raise ValueError("identity order must be at least 3")
-    report = report if report is not None else VerifyReport()
+    report = VerifyReport()
     # the census refuses an order above its limit before anything is allocated
     p = census.series_P(order)
     q = census.series_Q(order)
@@ -215,9 +210,9 @@ def identity_checks(report=None, order=IDENTITY_ORDER):
     return report
 
 
-def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
+def oracle_checks(max_size=ORACLE_MAX_SIZE, workers=1):
     """Exhaustive counts against the census pipeline, all eight targets."""
-    report = report if report is not None else VerifyReport()
+    report = VerifyReport()
     names = list(TARGETS)
     for size in range(1, max_size + 1):
         sv = oracle.survey(size, bound=size, workers=workers)
@@ -279,12 +274,10 @@ def oracle_checks(report=None, max_size=ORACLE_MAX_SIZE, workers=1):
 
 
 def run_verify(max_size=ORACLE_MAX_SIZE, order=IDENTITY_ORDER, workers=1):
-    """Run every check group in order; returns the combined report (max_size 0: no oracle group)."""
+    """Run every check group in order and join their reports (max_size 0: no oracle group)."""
     if max_size < 0:
         raise ValueError(f"max size must be nonnegative, got {max_size}")
-    report = VerifyReport()
-    golden_checks(report)
-    identity_checks(report, order=order)
+    report = VerifyReport(golden_checks().results + identity_checks(order=order).results)
     if max_size:
-        oracle_checks(report, max_size=max_size, workers=workers)
+        report.results += oracle_checks(max_size=max_size, workers=workers).results
     return report

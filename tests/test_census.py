@@ -38,6 +38,9 @@ def test_series_k_validation():
         census.series_V(0, 5)
     with pytest.raises(ValueError):
         census.series_W(1, 0, 5)
+    # a named-target row is a table, not a series
+    with pytest.raises(ValueError, match="unknown series family 'S'"):
+        census.series_row("S", 5)
 
 
 def _row(family, n_max):

@@ -219,14 +219,30 @@ def test_one_build_per_order(capsys):
 
 def test_crash_exits_4(capsys, monkeypatch):
     # a failure that is neither a usage error nor a budget refusal, such as a
-    # fork that fails, is no verification mismatch: exit 4, one line, no traceback
-    def failing(*args, **kwargs):
-        raise OSError(12, "Cannot allocate memory")
+    # fork that fails or a pool pipe that breaks, is no verification mismatch:
+    # exit 4, one line, no traceback
+    for exc, line in ((OSError(12, "Cannot allocate memory"),
+                       "error: OSError: [Errno 12] Cannot allocate memory\n"),
+                      (BrokenPipeError(32, "Broken pipe"),
+                       "error: BrokenPipeError: [Errno 32] Broken pipe\n")):
+        def failing(*args, **kwargs):
+            raise exc
 
-    monkeypatch.setattr(oracle, "survey", failing)
-    code, out, err = run_cli(capsys, "verify", "--max-size", "4")
-    assert (code, out) == (4, "")
-    assert err == "error: OSError: [Errno 12] Cannot allocate memory\n"
+        monkeypatch.setattr(oracle, "survey", failing)
+        code, out, err = run_cli(capsys, "verify", "--max-size", "4")
+        assert (code, out, err) == (4, "", line)
+
+
+def test_closed_stdout_exits_141_silently():
+    # a reader that stops early, as `| head -1` does, is no crash
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with subprocess.Popen([sys.executable, "-W", "error", "-m", "quiddity", "oracle",
+                           "--target", "Id", "--size", "11", "--list"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"a1,a2,a3,a4,a5,a6,a7,a8,a9,a10,a11\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_oversized_box_is_refused_before_any_search(capsys):

@@ -18,7 +18,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                            capture_output=True, text=True, timeout=60)
+    # warnings are errors here, as in the tests and every CI step
+    result = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env,
+                            cwd=ROOT, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout

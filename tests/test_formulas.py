@@ -6,8 +6,7 @@ import pytest
 from quiddity import census, formulas, verify
 from quiddity.formulas import binom_conv
 
-MEMOIZED = (formulas.coeff_Q, formulas.coeff_Ptilde, formulas.coeff_V1,
-            formulas.coeff_W11, formulas.coeff_powP, formulas.coeff_D)
+MEMOIZED = (formulas.coeff_powP, formulas.coeff_Ptilde, formulas.coeff_D)
 
 
 def clear_closed_forms():

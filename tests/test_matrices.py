@@ -22,6 +22,9 @@ def test_generator_relations():
     assert ts * ts * ts == -IDENTITY
     st = S * T
     assert st * st * st == -IDENTITY
+    # a product is of two matrices: Mat2 * 2 is refused, not scaled
+    with pytest.raises(TypeError):
+        S * 2
 
 
 def test_named_targets():

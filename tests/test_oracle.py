@@ -491,6 +491,11 @@ def test_targets_outside_sl2z_are_refused():
                 solve(OracleQuery(target=mat, size=6, method=method, list_solutions=True))
         with pytest.raises(ValueError, match="determinant"):
             survey(6, targets=["Id", mat])
+    # nor is a target that is neither a matrix nor a string
+    with pytest.raises(ValueError, match="must be a Mat2 or a string"):
+        solve(OracleQuery(target=(1, 0, 0, 1), size=6))
+    with pytest.raises(ValueError, match="must be a Mat2 or a string"):
+        survey(6, targets=["Id", 7])
 
 
 def test_folded_mitm_matches_direct():

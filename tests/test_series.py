@@ -70,6 +70,8 @@ def test_order_mismatch_raises():
         TruncSeries([1, 2]) + TruncSeries([1, 2, 3])
     with pytest.raises(OrderMismatchError):
         TruncSeries([1, 2]) * TruncSeries([1])
+    with pytest.raises(TypeError, match="expected TruncSeries"):
+        TruncSeries([1, 2]).add([1, 2])
 
 
 def test_pow():
