@@ -21,8 +21,9 @@ Q's functional equation, so it too is exact up to the build's order.
 So a table to index n, a series of order n, and a count or
 last-component histogram at size n + 2 all read the one build of order
 n.  An order above a fixed limit is refused with OrderLimitError.  No
-closed form enters a build; P, Q, Ptilde, D, E, F also exist as
-closed-form rows (see `formulas`), the independent second route.
+closed form enters a build: closed forms enter the census only for D, E
+and F, which have no series row.  P, Q and Ptilde also have closed
+forms (see `formulas`), the independent route `verify` checks them by.
 """
 
 import csv
@@ -264,10 +265,8 @@ class CountTable:
         return json.dumps(payload, indent=2)
 
 
+# The families with no series row, read off their closed forms.
 _FORMULA_FAMILIES = {
-    "P": lambda n: formulas.coeff_powP(1, n),
-    "Q": formulas.coeff_Q,
-    "Ptilde": formulas.coeff_Ptilde,
     "D": formulas.coeff_D,
     "E": formulas.coeff_E,
     "F": formulas.coeff_F,

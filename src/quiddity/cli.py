@@ -25,29 +25,26 @@ EXIT_CRASH = 4
 EXIT_CLOSED_STDOUT = 141
 
 
-def _print_table(table, output_format):
-    if output_format == "json":
+def _print_table(args, n_max):
+    """Print the row of --family, --k and --l to n_max: table and series share it."""
+    table = census.census_table(args.family, n_max, k=args.k, l=args.l)
+    if args.output_format == "json":
         print(table.to_json())
     else:
         print(table.to_csv(), end="")
+    return EXIT_OK
 
 
 def cmd_table(args):
     """Print one family of counts up to --n-max."""
-    table = census.census_table(args.family, args.n_max, k=args.k, l=args.l)
-    _print_table(table, args.output_format)
-    return EXIT_OK
+    return _print_table(args, args.n_max)
 
 
 def cmd_series(args):
     """Print raw coefficients 0..order of one named series."""
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
-    label, ts = census.series_row(args.family, args.order, args.k, args.l)
-    table = census.CountTable(family=label, provenance="series",
-                              entries=dict(enumerate(ts.coeffs)))
-    _print_table(table, args.output_format)
-    return EXIT_OK
+    return _print_table(args, args.order)
 
 
 def cmd_oracle(args):

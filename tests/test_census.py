@@ -180,11 +180,11 @@ def test_orders_above_the_limit_are_refused():
         verify.identity_checks(order=limit + 1)
     assert time.perf_counter() - start < 1
     # 103 is the largest order the tests, demos, verify defaults and benchmark read;
-    # Ptilde's closed form, in its table and in identity_checks, takes seconds there
+    # every row there counts solutions except Ptilde's, whose entries are negative
     for family in census.FAMILIES:
         indices = _EDGE_INDICES.get(family, ({},))[-1]
-        if family != "Ptilde":
-            assert census.census_table(family, 103, **indices).entries[103] >= 0, family
+        value = census.census_table(family, 103, **indices).entries[103]
+        assert (value < 0) == (family == "Ptilde"), family
         if family in census.SERIES_FAMILIES:
             assert census.series_row(family, 103, **indices)[1].order == 103, family
     assert [census.count_solutions(name, 105) > 0 for name in TARGETS] == [True] * 8
@@ -260,11 +260,14 @@ def test_count_solutions_validation():
 
 
 def test_census_table_formula_families():
+    # P has a series row, which its table reads; D, E and F have only closed forms
     table = census.census_table("P", 6)
     assert table.family == "P"
-    assert table.provenance == "formula"
+    assert table.provenance == "series"
     assert table.entries == {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 48, 6: 160}
-    assert census.census_table("D", 4).entries == {1: 1, 2: 2, 3: 5, 4: 15}
+    table = census.census_table("D", 4)
+    assert table.provenance == "formula"
+    assert table.entries == {1: 1, 2: 2, 3: 5, 4: 15}
     assert census.census_table("E", 4).entries == {3: 0, 4: 6}
 
 
@@ -349,9 +352,13 @@ def test_count_table_csv():
 def test_count_table_json():
     payload = json.loads(census.census_table("Q", 3).to_json())
     assert payload["family"] == "Q"
-    assert payload["provenance"] == "formula"
+    assert payload["provenance"] == "series"
     assert payload["values"] == {"0": "1", "1": "1", "2": "2", "3": "5"}
     assert all(isinstance(v, str) for v in payload["values"].values())
+    payload = json.loads(census.census_table("D", 3).to_json())
+    assert payload["family"] == "D"
+    assert payload["provenance"] == "formula"
+    assert payload["values"] == {"1": "1", "2": "2", "3": "5"}
 
 
 def test_clear_caches_keeps_results():

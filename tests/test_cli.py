@@ -72,8 +72,7 @@ def test_series_k_l_validation(capsys):
 
 
 def test_table_and_series_print_the_same_rows(capsys):
-    # for P, Q and Ptilde `table` takes the closed forms and `series` the
-    # series route; for U, V and W both read the same series row
+    # both read the same series row through the same printer
     rows = {"P": [], "Q": [], "Ptilde": [], "U": ["--k", "2"], "V": ["--k", "5"],
             "W": ["--k", "2", "--l", "3"]}
     for family, indices in rows.items():
@@ -81,6 +80,11 @@ def test_table_and_series_print_the_same_rows(capsys):
         series = run_cli(capsys, "series", "--family", family, "--order", "24", *indices)
         assert table == series, family
         assert table[0] == 0 and len(table[1].splitlines()) == 26, family
+        json_args = (*indices, "--format", "json")
+        table = run_cli(capsys, "table", "--family", family, "--n-max", "24", *json_args)
+        series = run_cli(capsys, "series", "--family", family, "--order", "24", *json_args)
+        assert table == series, family
+        assert table[0] == 0 and json.loads(table[1])["provenance"] == "series", family
 
 
 def test_oracle_count_csv(capsys):

@@ -167,7 +167,8 @@ def test_each_closed_form_value_is_summed_once_per_process(monkeypatch):
     census.census_table("E", 48)
     assert summed == Counter(f"D_{k}" for k in range(1, 46))
 
-    census.census_table("Ptilde", 16)
+    for n in range(1, 17):
+        formulas.coeff_Ptilde(n)
     summed.clear()
     verify.identity_checks(order=32)
     assert ({label for label in summed if label.startswith("Ptilde_")}
