@@ -1,6 +1,6 @@
 """Print the solution-count families and cross-check two routes.
 
-Every row printed here comes out of the closed-form / series pipeline;
+Every row printed here comes out of the census's series pipeline;
 the final section recomputes a slice of each row with the exhaustive
 oracle to show the two independent routes agree.
 """
@@ -13,7 +13,7 @@ from quiddity.oracle import survey
 def print_family(family, n_max, **kwargs):
     table = census.census_table(family, n_max, **kwargs)
     values = " ".join(str(table.entries[n]) for n in sorted(table.entries))
-    print(f"{table.family:>8} ({table.provenance:>7}): {values}")
+    print(f"{table.family:>8}: {values}")
 
 
 def main():

@@ -1,8 +1,7 @@
-"""The counting pipeline: generating series for the solution families and
-the count formulas derived from them.
+"""The counting pipeline: generating series for the solution families.
 
 Families, all counting solution tuples of size n + 2 for their target
-(the README's family table gives each one's first index, k, l and route):
+(the README's family table gives each one's first index, k and l):
 
     Q        identity target (whole count);
     V(k)     identity target, last component equal to k;
@@ -10,20 +9,18 @@ Families, all counting solution tuples of size n + 2 for their target
              exactly as summing V(1..n) rebuilds Q_n;
     W(k,l)   identity target, first component k and last component l;
     S, T     targets S and T;
-    u,v,w,x,y  targets T^-1, TS, ST, TSTS, STST.
+    u,v,w,x,y  targets T^-1, TS, ST, TSTS, STST;
+    D, E, F  the 3-divisible dissections of an (n+2)-gon and two marked
+             counts read off them.
 
-The series of one truncation order come from one cached build: P and Q
-solved from their functional equations, and rows grown by U1 = 1 - 1/P.
-The named-target rows are products of the same build's P, Q, U1, V1
-and W11 (S = X (Q - 1)(P - 1), for one).  The TSTS row x, whose entry n
-is V1's entry n + 1, is x = (Q - 1)/(X P) = P + X^2 P^2 (Q - 1), by
-Q's functional equation, so it too is exact up to the build's order.
-So a table to index n, a series of order n, and a count or
-last-component histogram at size n + 2 all read the one build of order
-n.  An order above a fixed limit is refused with OrderLimitError.  No
-closed form enters a build: closed forms enter the census only for D, E
-and F, which have no series row.  P, Q and Ptilde also have closed
-forms (see `formulas`), the independent route `verify` checks them by.
+Every row of one truncation order comes from one cached build: P, Q
+and D solved from their functional equations, rows grown by U1 = 1 - 1/P,
+and the named-target rows as products of the same build's P, Q, U1, V1
+and W11.  Each row is exact up to the build's order, so a table to
+index n, a series of order n, and a count or last-component histogram
+at size n + 2 all read the one build of order n.  An order above a
+fixed limit is refused with OrderLimitError.  No closed form enters the
+census: the closed forms in `formulas` are the route `verify` checks it by.
 """
 
 import csv
@@ -33,7 +30,6 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from . import formulas
 from .series import TruncSeries
 
 # Each family's first table index, the row indices it takes ("", "k" or
@@ -58,34 +54,31 @@ class OrderLimitError(RuntimeError):
     """A census order above _MAX_ORDER, refused before anything is built."""
 
 
-def _solve_P_Q(order):
-    """Coefficients 0..order of P and Q from their functional equations,
-    multiplied out so that each coefficient needs only lower ones:
-
-        P = 1 + X P^2 + X^3 (P^3 - P^2),
-        Q - 1 = X P^2 + X^3 P^3 (Q - 1).
+def _solve(order, top):
+    """Coefficients 0..order of F, F^2, .., F^top, each from lower ones only,
+    for F = 1 + X F^2 + X^3 (F^top - F^(top-1)): top = 3 gives P, and
+    top = 4 the dissection series D (see `_Build`).
     """
-    p, p2, p3, q = [], [], [], []
+    powers = [[] for _ in range(top)]
+    f = powers[0]
     for n in range(order + 1):
-        pn = qn = p2[n - 1] if n else 1
+        fn = powers[1][n - 1] if n else 1
         if n >= 3:
-            pn += p3[n - 3] - p2[n - 3]
-            # the sum skips q[0]: the equation multiplies Q - 1, whose X^0 term is 0
-            qn += sum(p3[i] * q[n - 3 - i] for i in range(n - 3))
-        p.append(pn)
-        p2.append(sum(p[i] * p[n - i] for i in range(n + 1)))
-        p3.append(sum(p[i] * p2[n - i] for i in range(n + 1)))
-        q.append(qn)
-    return p, q
+            fn += powers[-1][n - 3] - powers[-2][n - 3]
+        f.append(fn)
+        for lower, power in zip(powers, powers[1:]):
+            power.append(sum(f[i] * lower[n - i] for i in range(n + 1)))
+    return powers
 
 
 class _Build:
     """Every series of one truncation order, each read through `row`.
 
     The rows U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1)
-    are grown by one multiplication each, under a lock that threads share,
-    the first time they are asked for.  U1, V1 and W11 have no constant
-    term, so row j starts at X^j and a row past the order is zero.
+    are made once, under a lock that threads share: by one product after
+    a built row j - 1, else as V1 U(j-1), W11 U(j-1) or U(j//2) U(j - j//2).
+    U1, V1 and W11 have no constant term, so row j starts at X^j and a row
+    past the order is zero.
 
     The named-target rows S, T, u..y are products of P, Q, U1, V1 and W11,
     made together the first time one of them is read.  Since 1 - U1 = 1/P,
@@ -94,36 +87,60 @@ class _Build:
     and w's sum_k W(1,k) = W11 P = V1.  x(n) is V1 at n + 1, so
     x = (Q-1)/(X P); dividing Q's functional equation
     Q - 1 = X P^2 + X^3 P^3 (Q-1) by X P gives x = P + X^2 P^2 (Q-1).
-    So every row is exact up to the order: index n is read at order n.
-    An entry below its family's first index is not a count.
+
+    D, E and F are solved the first time one of them is read.  The root
+    side of a dissection lies in a cell of 3m vertices whose other sides
+    each carry a rooted dissection, so A = X D satisfies
+    A = X + A^2/(1 - A^3): D = 1 + X D^2 + X^3 (D^4 - D^3), P's equation
+    one power higher.  Then E_n = (n+2) [X^(n-2)] (D-1)^2 and
+    F_n = 2 (n+2) D_(n-2).  So every row is exact up to the order: index
+    n is read at order n.  An entry below its family's first index is not
+    a count.
     """
 
     def __init__(self, order):
-        p, q = map(TruncSeries, _solve_P_Q(order))
+        p, p2, p3 = _solve(order, 3)
+        q = [1]  # Q - 1 = X P^2 + X^3 P^3 (Q - 1); its sum skips Q - 1's zero X^0 term
+        for n in range(1, order + 1):
+            q.append(p2[n - 1] + sum(p3[i] * q[n - 3 - i] for i in range(n - 3)))
+        p, q = TruncSeries(p), TruncSeries(q)
         one = TruncSeries.one(order)
         p_inverse = p.inverse()
         self.u1 = one.sub(p_inverse)
         v1 = q.sub(one).mul(p_inverse)
         self._fixed = {"P": p, "Q": q, "Ptilde": p_inverse}
-        self._rows = {"U": [self.u1], "V": [v1], "W": [p_inverse.mul(v1)]}
+        self._rows = {"U": {1: self.u1}, "V": {1: v1}, "W": {1: p_inverse.mul(v1)}}
         self._grow = threading.Lock()
 
     def row(self, family, k=None, l=None):
-        """P, Q, Ptilde, U(k), V(k), W(k, l) or a named-target row S, T, u..y.
+        """P, Q, Ptilde, D, E, F, U(k), V(k), W(k, l) or a named-target row S, T, u..y.
 
         W(k, l) is W(1, k + l - 1), so row("W", j) is W(1, j).
         """
         if k is None:
-            return self._fixed[family] if family in self._fixed else self._targets[family]
+            if family in self._fixed:
+                return self._fixed[family]
+            return (self._dissections if family in ("D", "E", "F") else self._targets)[family]
         j = k + (l or 1) - 1
         if j > self.u1.order:
             return TruncSeries.zero(self.u1.order)
-        rows = self._rows[family]
-        if len(rows) < j:
+        row = self._rows[family].get(j)
+        if row is None:
             with self._grow:
-                while len(rows) < j:
-                    rows.append(rows[-1].mul(self.u1))
-        return rows[j - 1]
+                row = self._power(family, j)
+        return row
+
+    def _power(self, family, j):
+        """Row j of U, V or W, made from built rows; the caller holds the lock."""
+        rows = self._rows[family]
+        if j not in rows:
+            if j - 1 in rows:
+                rows[j] = rows[j - 1].mul(self.u1)
+            elif family != "U":
+                rows[j] = rows[1].mul(self._power("U", j - 1))
+            else:
+                rows[j] = self._power("U", j // 2).mul(self._power("U", j - j // 2))
+        return rows[j]
 
     @cached_property
     def _targets(self):
@@ -135,17 +152,22 @@ class _Build:
                 "w": q - v1 - v1 + w11, "x": p + (p * p * q1).shift(2),
                 "y": (v1 * u1 * u1 * p * p).shift(1)}
 
-
-def _check_order(order):
-    if order < 0:
-        raise ValueError(f"census order {order} is negative")
-    if order > _MAX_ORDER:
-        raise OrderLimitError(f"census order {order} is above the limit {_MAX_ORDER}")
+    @cached_property
+    def _dissections(self):
+        d, d2 = _solve(self.u1.order, 4)[:2]
+        # entry n of E and F is n + 2 times entry n - 2 of (D - 1)^2 = D^2 - 2D + 1 and of 2D
+        e = [(n + 2) * (d2[n - 2] - 2 * d[n - 2] + (n == 2)) if n > 1 else 0
+             for n in range(len(d))]
+        f = [2 * (n + 2) * d[n - 2] if n > 1 else 0 for n in range(len(d))]
+        return {"D": TruncSeries(d), "E": TruncSeries(e), "F": TruncSeries(f)}
 
 
 @lru_cache(maxsize=None)
 def _build(order):
-    _check_order(order)
+    if order < 0:
+        raise ValueError(f"census order {order} is negative")
+    if order > _MAX_ORDER:
+        raise OrderLimitError(f"census order {order} is above the limit {_MAX_ORDER}")
     return _Build(order)
 
 
@@ -242,11 +264,10 @@ def count_solutions(target_name, size):
 
 @dataclass
 class CountTable:
-    """One family row: index n -> value, with the route that produced it."""
+    """One family row: index n -> value, read off the series build."""
 
     family: str
     entries: dict
-    provenance: str
 
     def to_csv(self):
         out = io.StringIO()
@@ -259,18 +280,10 @@ class CountTable:
     def to_json(self):
         payload = {
             "family": self.family,
-            "provenance": self.provenance,
+            "provenance": "series",
             "values": {str(n): str(self.entries[n]) for n in sorted(self.entries)},
         }
         return json.dumps(payload, indent=2)
-
-
-# The families with no series row, read off their closed forms.
-_FORMULA_FAMILIES = {
-    "D": formulas.coeff_D,
-    "E": formulas.coeff_E,
-    "F": formulas.coeff_F,
-}
 
 
 def check_row_indices(family, k, l):
@@ -296,13 +309,5 @@ def census_table(family, n_max, k=None, l=None):
     start = _FAMILY_TABLE[family][0]
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")
-    # the closed forms build nothing, so the limit is checked here too
-    _check_order(n_max)
-    span = range(start, n_max + 1)
-
-    if family in _FORMULA_FAMILIES:
-        fn = _FORMULA_FAMILIES[family]
-        return CountTable(family, {n: fn(n) for n in span}, "formula")
-
     row = _build(n_max).row(family, k, l).coeffs
-    return CountTable(_label(family, k, l), {n: row[n] for n in span}, "series")
+    return CountTable(_label(family, k, l), {n: row[n] for n in range(start, n_max + 1)})

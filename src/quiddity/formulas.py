@@ -13,9 +13,11 @@ is a ladder of P-power coefficients, term for term:
 
 P^e, Ptilde and D, the forms that sum terms, are evaluated once per
 process for each argument and then read from a cache, which the ladders,
-E, F and `verify` after a D, E or F table (all three read D) read again.
-Code that patches `binom_conv` or `_exact_sum` must first `cache_clear()`
-those three.
+E, F and `verify`'s golden and identity checks read again.  Code that
+patches `binom_conv` or `_exact_sum` must first `cache_clear()` those
+three.  The census reads none of these forms: they are the independent
+route `verify` checks the census rows of P, Q, Ptilde, V1, W11, D, E and
+F by.
 
 Series letters used across the package (defined by what they count, all
 for tuples of size n + 2):

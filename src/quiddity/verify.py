@@ -207,6 +207,11 @@ def identity_checks(order=IDENTITY_ORDER):
         report.check(f"identity:W-shift-{k}-{l}",
                      list(p_inv.mul(census.series_V(k, order)).mul(u).coeffs),
                      list(census.series_W(k, l, order).coeffs))
+
+    for family, formula in zip("DEF", (formulas.coeff_D, formulas.coeff_E, formulas.coeff_F)):
+        entries = census.census_table(family, order).entries
+        report.check(f"identity:{family}-formula", list(entries.values()),
+                     [formula(n) for n in entries])
     return report
 
 

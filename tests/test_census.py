@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -259,14 +260,12 @@ def test_count_solutions_validation():
         census.count_solutions("Id", 0)
 
 
-def test_census_table_formula_families():
-    # P has a series row, which its table reads; D, E and F have only closed forms
+def test_census_table_dissection_rows():
+    # P's table and the dissection tables D and E all read the series build
     table = census.census_table("P", 6)
     assert table.family == "P"
-    assert table.provenance == "series"
     assert table.entries == {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 48, 6: 160}
     table = census.census_table("D", 4)
-    assert table.provenance == "formula"
     assert table.entries == {1: 1, 2: 2, 3: 5, 4: 15}
     assert census.census_table("E", 4).entries == {3: 0, 4: 6}
 
@@ -274,7 +273,7 @@ def test_census_table_formula_families():
 def test_census_table_series_families():
     table = census.census_table("V", 6, k=2)
     assert table.family == "V(2)"
-    assert table.provenance == "series"
+    assert json.loads(table.to_json())["provenance"] == "series"
     assert table.entries[2] == 1
     assert census.census_table("W", 8, k=2, l=3).entries[8] == 114
     assert census.census_table("S", 6).entries[6] == 50
@@ -357,7 +356,7 @@ def test_count_table_json():
     assert all(isinstance(v, str) for v in payload["values"].values())
     payload = json.loads(census.census_table("D", 3).to_json())
     assert payload["family"] == "D"
-    assert payload["provenance"] == "formula"
+    assert payload["provenance"] == "series"
     assert payload["values"] == {"1": "1", "2": "2", "3": "5"}
 
 
@@ -394,6 +393,13 @@ def test_census_route_uses_no_closed_form(monkeypatch):
     }
     for tag, row in families.items():
         assert _row(tag, 8) == row, tag
+    dissections = {
+        "D": [1, 2, 5, 15, 49, 168, 595, 2160],
+        "E": [0, 6, 28, 112, 450, 1830],
+        "F": [10, 24, 70, 240, 882, 3360],
+    }
+    for family, row in dissections.items():
+        assert list(census.census_table(family, 8).entries.values()) == row, family
     # the same histograms as the exhaustive survey(10)
     assert census.by_last("Id", 10) == {1: 726, 2: 627, 3: 388, 4: 194, 5: 80, 6: 27,
                                         7: 7, 8: 1}
@@ -429,3 +435,21 @@ def test_concurrent_rows_are_grown_once():
             assert rows == [alone.row("V", k) for k in ks], order
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_cold_row_is_reached_in_logarithmically_many_products(monkeypatch):
+    in_order = census._Build(300)
+    for k in range(1, 251):
+        row = in_order.row("V", k)
+    products = []
+    real = TruncSeries.mul
+
+    def spy(self, other):
+        products.append(self.order)
+        return real(self, other)
+
+    monkeypatch.setattr(TruncSeries, "mul", spy)
+    cold = census._Build(300)
+    products.clear()  # the build's own products
+    assert cold.row("V", 250) == row
+    assert len(products) <= 2 * math.ceil(math.log2(250)) + 2

@@ -152,6 +152,9 @@ def test_closed_forms_equal_one_series_build_to_order_100():
     assert [formulas.coeff_W11(n) for n in range(order + 1)] == list(w11.coeffs)
     for e in (1, 2, 3):
         assert [formulas.coeff_powP(e, n) for n in range(order + 1)] == list(p.pow(e).coeffs)
+    for family, formula in zip("DEF", (formulas.coeff_D, formulas.coeff_E, formulas.coeff_F)):
+        entries = census.census_table(family, order).entries
+        assert [formula(n) for n in entries] == list(entries.values()), family
 
 
 def test_each_closed_form_value_is_summed_once_per_process(monkeypatch):
@@ -163,8 +166,9 @@ def test_each_closed_form_value_is_summed_once_per_process(monkeypatch):
         return real(label, terms)
 
     monkeypatch.setattr(formulas, "_exact_sum", spy)
-    # E_n reads D_1..D_{n-3}, so the table to 48 reads D_1..D_45, each many times
-    census.census_table("E", 48)
+    # E_n reads D_1..D_{n-3}, so E_3..E_48 read D_1..D_45, each many times
+    for n in range(3, 49):
+        formulas.coeff_E(n)
     assert summed == Counter(f"D_{k}" for k in range(1, 46))
 
     for n in range(1, 17):
