@@ -13,14 +13,14 @@ Families, all counting solution tuples of size n + 2 for their target
     D, E, F  the 3-divisible dissections of an (n+2)-gon and two marked
              counts read off them.
 
-Every row of one truncation order comes from one cached build: P, Q
-and D solved from their functional equations, rows grown by U1 = 1 - 1/P,
-and the named-target rows as products of the same build's P, Q, U1, V1
-and W11.  Each row is exact up to the build's order, so a table to
-index n, a series of order n, and a count or last-component histogram
-at size n + 2 all read the one build of order n.  An order above a
-fixed limit is refused with OrderLimitError.  No closed form enters the
-census: the closed forms in `formulas` are the route `verify` checks it by.
+Every row of one truncation order comes from one cached build: P, Q and D
+solved from their functional equations when first needed, rows grown by
+U1 = 1 - 1/P, and the named-target rows as products of the same build's
+P, Q, U1, V1 and W11.  Each row is exact up to the build's order, so a
+table to index n, a series of order n, and a count or last-component
+histogram at size n + 2 all read the one build of order n.  An order
+above a fixed limit is refused with OrderLimitError.  No closed form
+enters the census: `formulas` is the route `verify` checks it by.
 """
 
 import csv
@@ -28,7 +28,7 @@ import io
 import json
 import threading
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .series import TruncSeries
 
@@ -72,13 +72,14 @@ def _solve(order, top):
 
 
 class _Build:
-    """Every series of one truncation order, each read through `row`.
+    """Every series of one truncation order, each made once, under a lock
+    that threads share, the first time `row` reads it.
 
-    The rows U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1)
-    are made once, under a lock that threads share: by one product after
-    a built row j - 1, else as V1 U(j-1), W11 U(j-1) or U(j//2) U(j - j//2).
-    U1, V1 and W11 have no constant term, so row j starts at X^j and a row
-    past the order is zero.
+    P, Q, 1/P, U1 = 1 - 1/P, V1 and W11, the P side, are solved together.
+    Then U(j) = U1^j, V(j) = V1 U1^(j-1) and W(1, j) = W11 U1^(j-1) are made
+    by one product after a built row j - 1, else as V1 U(j-1), W11 U(j-1)
+    or U(j//2) U(j - j//2).  U1, V1 and W11 have no constant term, so row j
+    starts at X^j and a row past the order is zero.
 
     The named-target rows S, T, u..y are products of P, Q, U1, V1 and W11,
     made together the first time one of them is read.  Since 1 - U1 = 1/P,
@@ -88,9 +89,9 @@ class _Build:
     x = (Q-1)/(X P); dividing Q's functional equation
     Q - 1 = X P^2 + X^3 P^3 (Q-1) by X P gives x = P + X^2 P^2 (Q-1).
 
-    D, E and F are solved the first time one of them is read.  The root
-    side of a dissection lies in a cell of 3m vertices whose other sides
-    each carry a rooted dissection, so A = X D satisfies
+    D, E and F are solved together, without the P side.  The root side of
+    a dissection lies in a cell of 3m vertices whose other sides each
+    carry a rooted dissection, so A = X D satisfies
     A = X + A^2/(1 - A^3): D = 1 + X D^2 + X^3 (D^4 - D^3), P's equation
     one power higher.  Then E_n = (n+2) [X^(n-2)] (D-1)^2 and
     F_n = 2 (n+2) D_(n-2).  So every row is exact up to the order: index
@@ -99,17 +100,8 @@ class _Build:
     """
 
     def __init__(self, order):
-        p, p2, p3 = _solve(order, 3)
-        q = [1]  # Q - 1 = X P^2 + X^3 P^3 (Q - 1); its sum skips Q - 1's zero X^0 term
-        for n in range(1, order + 1):
-            q.append(p2[n - 1] + sum(p3[i] * q[n - 3 - i] for i in range(n - 3)))
-        p, q = TruncSeries(p), TruncSeries(q)
-        one = TruncSeries.one(order)
-        p_inverse = p.inverse()
-        self.u1 = one.sub(p_inverse)
-        v1 = q.sub(one).mul(p_inverse)
-        self._fixed = {"P": p, "Q": q, "Ptilde": p_inverse}
-        self._rows = {"U": {1: self.u1}, "V": {1: v1}, "W": {1: p_inverse.mul(v1)}}
+        self.order, self.u1 = order, None  # U1 is made with the rest of the P side
+        self._fixed, self._rows = {}, {"U": {}, "V": {}, "W": {}}
         self._grow = threading.Lock()
 
     def row(self, family, k=None, l=None):
@@ -117,18 +109,34 @@ class _Build:
 
         W(k, l) is W(1, k + l - 1), so row("W", j) is W(1, j).
         """
-        if k is None:
-            if family in self._fixed:
-                return self._fixed[family]
-            return (self._dissections if family in ("D", "E", "F") else self._targets)[family]
-        j = k + (l or 1) - 1
-        if j > self.u1.order:
-            return TruncSeries.zero(self.u1.order)
-        row = self._rows[family].get(j)
+        j = None if k is None else k + (l or 1) - 1
+        if j is not None and j > self.order:
+            return TruncSeries.zero(self.order)
+        row = self._fixed.get(family) if j is None else self._rows[family].get(j)
         if row is None:
             with self._grow:
-                row = self._power(family, j)
+                dissection = family in ("D", "E", "F")
+                if self.u1 is None and not dissection:
+                    self._p_side()
+                if j is not None:
+                    return self._power(family, j)
+                if family not in self._fixed:
+                    self._fixed.update(self._dissections() if dissection else self._targets())
+                row = self._fixed[family]
         return row
+
+    def _p_side(self):
+        """P, Q, Ptilde and the rows U1, V1 and W11; the caller holds the lock."""
+        p, p2, p3 = _solve(self.order, 3)
+        q = [1]  # Q - 1 = X P^2 + X^3 P^3 (Q - 1); its sum skips Q - 1's zero X^0 term
+        for n in range(1, self.order + 1):
+            q.append(p2[n - 1] + sum(p3[i] * q[n - 3 - i] for i in range(n - 3)))
+        p, q = TruncSeries(p), TruncSeries(q)
+        one, p_inverse = TruncSeries.one(self.order), p.inverse()
+        self.u1 = one.sub(p_inverse)
+        v1 = q.sub(one).mul(p_inverse)
+        self._fixed.update(P=p, Q=q, Ptilde=p_inverse)
+        self._rows = {"U": {1: self.u1}, "V": {1: v1}, "W": {1: p_inverse.mul(v1)}}
 
     def _power(self, family, j):
         """Row j of U, V or W, made from built rows; the caller holds the lock."""
@@ -142,19 +150,17 @@ class _Build:
                 rows[j] = self._power("U", j // 2).mul(self._power("U", j - j // 2))
         return rows[j]
 
-    @cached_property
     def _targets(self):
-        one = TruncSeries.one(self.u1.order)
+        one = TruncSeries.one(self.order)
         p, q, u1 = self._fixed["P"], self._fixed["Q"], self.u1
-        q1, v1, w11 = q - one, self.row("V", 1), self.row("W", 1)
+        q1, v1, w11 = q - one, self._rows["V"][1], self._rows["W"][1]
         s = (q1 * (p - one)).shift(1)
         return {"S": s, "T": s.shift(1) + q1, "u": q - v1, "v": q1.shift(1) + s,
                 "w": q - v1 - v1 + w11, "x": p + (p * p * q1).shift(2),
                 "y": (v1 * u1 * u1 * p * p).shift(1)}
 
-    @cached_property
     def _dissections(self):
-        d, d2 = _solve(self.u1.order, 4)[:2]
+        d, d2 = _solve(self.order, 4)[:2]
         # entry n of E and F is n + 2 times entry n - 2 of (D - 1)^2 = D^2 - 2D + 1 and of 2D
         e = [(n + 2) * (d2[n - 2] - 2 * d[n - 2] + (n == 2)) if n > 1 else 0
              for n in range(len(d))]

@@ -1,7 +1,11 @@
 """Closed-form coefficient and count formulas, evaluated exactly.
 
 Three closed forms are binomial sums: Ptilde's triple sum, one sum for
-every power P^e (e >= 1), and D.  Each hands its (numerator,
+every power P^e (e >= 1), and D.  Each sums only the terms that can be
+nonzero.  The factor C(m - 2i - 1, i) of every term (i = k and m = n in
+P^e and D, i = l and m = r in Ptilde) is 0 once 3i > m - 1 >= 0, so i
+stops at (m - 1) // 3, or at 0 for m = 0, where C(-1, 0) = 1; and
+Ptilde's C(j, k) is 0 once k > j.  Each hands its (numerator,
 denominator) terms to one exact-sum kernel, which adds them as exact
 rationals and requires an integer total; anything else raises
 NonIntegralSumError, since a fractional total can only mean a
@@ -88,18 +92,18 @@ def coeff_Q(n):
 
 @_memo
 def coeff_Ptilde(n):
-    """n-th coefficient of 1/P, by the direct triple sum."""
+    """n-th coefficient of 1/P, by the direct triple sum over j < n, k <= min(j, (n-j-1)//2)
+    and l <= max(r - 1, 0)//3 with r = n - j - 2k - 1, where no binomial is 0."""
     if n < 0:
         raise ValueError("index must be nonnegative")
     if n == 0:
         return 1
     return -_exact_sum(f"Ptilde_{n}", (
         ((-1 if (j - k) % 2 else 1) * comb(j, k) * (2 * j + 2)
-         * binom_conv(n - j - 2 * k - 2 * l - 2, l)
-         * binom_conv(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
+         * binom_conv(r - 2 * l - 1, l) * comb(2 * n - 4 * k - 4 * l - 1, r - 3 * l),
          n + j - 2 * k - l + 1)
-        for j in range(n) for k in range((n - j - 1) // 2 + 1)
-        for l in range((n - j - 2 * k - 1) // 3 + 1)))
+        for j in range(n) for k in range(min(j, (n - j - 1) // 2) + 1)
+        for r in (n - j - 2 * k - 1,) for l in range(max(r - 1, 0) // 3 + 1)))
 
 
 def coeff_V1(n):
@@ -126,7 +130,7 @@ def coeff_powP(e, n):
     return _exact_sum(f"[X^{n}]P^{e}", (
         (e * binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 4 * k + e - 1, n - 3 * k),
          n - k + e)
-        for k in range(n // 3 + 1)))
+        for k in range(max(n - 1, 0) // 3 + 1)))
 
 
 @_memo
@@ -136,7 +140,7 @@ def coeff_D(n):
         raise ValueError("index must be nonnegative")
     return _exact_sum(f"D_{n}", (
         (binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 3 * k, n - 3 * k), n + 1)
-        for k in range(n // 3 + 1)))
+        for k in range(max(n - 1, 0) // 3 + 1)))
 
 
 def coeff_E(n):

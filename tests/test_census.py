@@ -124,6 +124,7 @@ def test_named_target_rows_leave_the_ladders_ungrown():
     for family in ("P", "Q", "Ptilde"):
         build.row(family)
     assert "_targets" not in vars(build)
+    assert "S" not in build._fixed
     assert build.row("S").coeff(48) == census.count_solutions("S", 50)
     assert census._build.cache_info().misses == 1
     assert (len(build._rows["V"]), len(build._rows["W"])) == (1, 1)
@@ -437,6 +438,45 @@ def test_concurrent_rows_are_grown_once():
         sys.setswitchinterval(interval)
 
 
+def test_concurrent_sides_are_made_once(monkeypatch):
+    # four threads make the P side, a V row grown off it, the named targets
+    # and the dissections of one fresh build at once
+    reads = (("P",), ("V", 40), ("S",), ("D",))
+    tops, real_solve = [], census._solve
+    monkeypatch.setattr(census, "_solve",
+                        lambda order, top: tops.append(top) or real_solve(order, top))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        build = census._Build(100)
+        with ThreadPoolExecutor(4) as pool:
+            rows = list(pool.map(lambda args: build.row(*args), reads))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(tops) == [3, 4]
+    assert rows == [census._Build(100).row(*args) for args in reads]
+
+
+def test_dissection_tables_solve_no_p_side(monkeypatch):
+    solved, products = [], []
+    real_solve = census._solve
+
+    def solve_spy(order, top):
+        solved.append((order, top))
+        return real_solve(order, top)
+
+    monkeypatch.setattr(census, "_solve", solve_spy)
+    for name in ("mul", "inverse"):
+        real = getattr(TruncSeries, name)
+        monkeypatch.setattr(TruncSeries, name, lambda *args, name=name, real=real:
+                            products.append(name) or real(*args))
+    census._build.cache_clear()
+    table = census.census_table("D", 300)
+    assert solved == [(300, 4)]
+    assert products == []
+    assert [table.entries[n] for n in range(1, 8)] == [1, 2, 5, 15, 49, 168, 595]
+
+
 def test_a_cold_row_is_reached_in_logarithmically_many_products(monkeypatch):
     in_order = census._Build(300)
     for k in range(1, 251):
@@ -450,6 +490,6 @@ def test_a_cold_row_is_reached_in_logarithmically_many_products(monkeypatch):
 
     monkeypatch.setattr(TruncSeries, "mul", spy)
     cold = census._Build(300)
-    products.clear()  # the build's own products
+    products.clear()  # a build makes nothing before its first read, so V1 and W11 count too
     assert cold.row("V", 250) == row
     assert len(products) <= 2 * math.ceil(math.log2(250)) + 2

@@ -143,6 +143,50 @@ def test_every_closed_form_sums_through_the_kernel(monkeypatch):
     assert [formulas.coeff_W11(n) for n in (2, 3)] == [0, 0]
 
 
+def _ptilde_full_range(n):
+    """Ptilde_n by the triple sum over every (j, k, l) of its plain ranges,
+    the vanishing terms included."""
+    if n == 0:
+        return 1
+    return -formulas._exact_sum(f"Ptilde_{n}", (
+        ((-1 if (j - k) % 2 else 1) * math.comb(j, k) * (2 * j + 2)
+         * binom_conv(n - j - 2 * k - 2 * l - 2, l)
+         * binom_conv(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
+         n + j - 2 * k - l + 1)
+        for j in range(n) for k in range((n - j - 1) // 2 + 1)
+        for l in range((n - j - 2 * k - 1) // 3 + 1)))
+
+
+def test_coeff_Ptilde_equals_its_full_range_sum():
+    assert [formulas.coeff_Ptilde(n) for n in range(41)] == [
+        _ptilde_full_range(n) for n in range(41)]
+
+
+def test_the_closed_forms_hand_the_kernel_no_zero_term(monkeypatch):
+    terms, zeros = Counter(), Counter()
+    real = formulas._exact_sum
+
+    def spy(label, pairs):
+        pairs = list(pairs)
+        family = label.split("_")[0] if "_" in label else label.split("]")[1]
+        terms[family] += len(pairs)
+        zeros[family] += sum(num == 0 for num, _ in pairs)
+        return real(label, pairs)
+
+    monkeypatch.setattr(formulas, "_exact_sum", spy)
+    for n in range(49):
+        formulas.coeff_Ptilde(n)
+        formulas.coeff_D(n)
+        for e in (1, 2, 3):
+            formulas.coeff_powP(e, n)
+    # 46,836 over the plain ranges, 16,440 of them zero
+    assert terms["Ptilde"] == 30396
+    # P^e and D: n // 3 + 1 terms over the plain ranges, (n - 1) // 3 + 1 here
+    assert terms["D"] == terms["P^1"] == sum(max(n - 1, 0) // 3 + 1 for n in range(49))
+    assert set(terms) == {"Ptilde", "D", "P^1", "P^2", "P^3"}
+    assert zeros == Counter()
+
+
 def test_closed_forms_equal_one_series_build_to_order_100():
     order = 100
     p, q = census.series_P(order), census.series_Q(order)
@@ -152,6 +196,9 @@ def test_closed_forms_equal_one_series_build_to_order_100():
     assert [formulas.coeff_W11(n) for n in range(order + 1)] == list(w11.coeffs)
     for e in (1, 2, 3):
         assert [formulas.coeff_powP(e, n) for n in range(order + 1)] == list(p.pow(e).coeffs)
+    # the triple sum costs about the order to the fourth power; CI runs it to 100
+    ptilde = census.series_P_inverse(order).coeffs[:49]
+    assert [formulas.coeff_Ptilde(n) for n in range(49)] == list(ptilde)
     for family, formula in zip("DEF", (formulas.coeff_D, formulas.coeff_E, formulas.coeff_F)):
         entries = census.census_table(family, order).entries
         assert [formula(n) for n in entries] == list(entries.values()), family
