@@ -23,9 +23,6 @@ above a fixed limit is refused with OrderLimitError.  No closed form
 enters the census: `formulas` is the route `verify` checks it by.
 """
 
-import csv
-import io
-import json
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -194,31 +191,26 @@ def series_P_inverse(order):
 
 def series_U(k, order):
     """(1 - 1/P)^k truncated at `order`."""
-    return series_row("U", order, k)[1]
+    return series_row("U", order, k)
 
 
 def series_V(k, order):
     """Series of last-component-k counts: (Q - 1) * (1/P) * (1 - 1/P)^(k-1)."""
-    return series_row("V", order, k)[1]
+    return series_row("V", order, k)
 
 
 def series_W(k, l, order):
     """Series of (first, last) = (k, l) counts: W11 * (1 - 1/P)^(k+l-2),
     with W11 = (1/P) * (Q - 1) * (1/P)."""
-    return series_row("W", order, k, l)[1]
-
-
-def _label(family, k, l):
-    """A row's name in its table: S, V(2) or W(2,3)."""
-    return family if k is None else f"{family}({k})" if l is None else f"{family}({k},{l})"
+    return series_row("W", order, k, l)
 
 
 def series_row(family, order, k=None, l=None):
-    """(label, series) of P, Q, Ptilde, U(k), V(k) or W(k,l) at `order`."""
+    """The series of P, Q, Ptilde, U(k), V(k) or W(k,l) at `order`."""
     if family not in SERIES_FAMILIES:
         raise ValueError(f"unknown series family {family!r}")
     check_row_indices(family, k, l)
-    return _label(family, k, l), _build(order).row(family, k, l)
+    return _build(order).row(family, k, l)
 
 
 def by_last(target_name, size):
@@ -275,22 +267,6 @@ class CountTable:
     family: str
     entries: dict
 
-    def to_csv(self):
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["family", "n", "value"])
-        for n in sorted(self.entries):
-            writer.writerow([self.family, n, self.entries[n]])
-        return out.getvalue()
-
-    def to_json(self):
-        payload = {
-            "family": self.family,
-            "provenance": "series",
-            "values": {str(n): str(self.entries[n]) for n in sorted(self.entries)},
-        }
-        return json.dumps(payload, indent=2)
-
 
 def check_row_indices(family, k, l):
     """Require exactly the row indices the family takes, each at least 1."""
@@ -316,4 +292,6 @@ def census_table(family, n_max, k=None, l=None):
     if n_max < start:
         raise ValueError(f"family {family} starts at n = {start}")
     row = _build(n_max).row(family, k, l).coeffs
-    return CountTable(_label(family, k, l), {n: row[n] for n in range(start, n_max + 1)})
+    # the row's name in its table: S, V(2) or W(2,3)
+    label = family if k is None else f"{family}({k})" if l is None else f"{family}({k},{l})"
+    return CountTable(label, {n: row[n] for n in range(start, n_max + 1)})

@@ -4,15 +4,14 @@ exhaustive oracle, and the full verification suite.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse
 error, 3 resource budget exceeded or census order above the limit, 4 any
 other failure, such as a fork that fails, reported as one line
-"error: <type>: <message>", 141 (128 + SIGPIPE) stdout closed by its
-reader, with nothing on stderr.
+"error: <type>: <message>", 141 (128 + SIGPIPE) when writing the result
+finds stdout's reader gone, with nothing on stderr.
 """
 
 import argparse
 import csv
 import json
 import os
-import select
 import sys
 
 from . import census, oracle, verify
@@ -25,14 +24,34 @@ EXIT_CRASH = 4
 EXIT_CLOSED_STDOUT = 141
 
 
+def _write(args, header, rows, payload):
+    """Print the rows under their header as CSV, or the payload as JSON, as
+    --format asks, and flush: every command prints its result through here.
+
+    A write that finds stdout's reader gone points stdout at devnull, so
+    that the exit-time flush stays silent, and exits 141.
+    """
+    try:
+        if args.output_format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            writer = csv.writer(sys.stdout, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return EXIT_OK
+
+
 def _print_table(args, n_max):
     """Print the row of --family, --k and --l to n_max: table and series share it."""
     table = census.census_table(args.family, n_max, k=args.k, l=args.l)
-    if args.output_format == "json":
-        print(table.to_json())
-    else:
-        print(table.to_csv(), end="")
-    return EXIT_OK
+    values = {str(n): str(value) for n, value in table.entries.items()}
+    return _write(args, ["family", "n", "value"],
+                  ([table.family, n, value] for n, value in values.items()),
+                  {"family": table.family, "provenance": "series", "values": values})
 
 
 def cmd_table(args):
@@ -57,59 +76,43 @@ def cmd_oracle(args):
         workers=args.workers,
     )
     result = oracle.solve(query)
-    if args.output_format == "json":
-        payload = {
-            "target": str(args.target),
-            "target_name": result.target_name,
-            "size": result.size,
-            "bound": result.bound,
-            "count": str(result.count),
-            "bound_touches": str(result.bound_touches),
-            "exhaustive_within_bound": result.exhaustive_within_bound,
-            "by_last": {str(k): str(v) for k, v in sorted(result.by_last.items())},
-        }
-        if args.list_solutions:
-            payload["solutions"] = [list(t) for t in result.solutions]
-        print(json.dumps(payload, indent=2))
-    elif args.list_solutions:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow([f"a{i}" for i in range(1, result.size + 1)])
-        writer.writerows(result.solutions)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["target", "size", "bound", "count",
-                         "bound_touches", "exhaustive_within_bound"])
-        writer.writerow([args.target, result.size, result.bound, result.count,
-                         result.bound_touches, result.exhaustive_within_bound])
-    return EXIT_OK
+    payload = {
+        "target": str(args.target),
+        "target_name": result.target_name,
+        "size": result.size,
+        "bound": result.bound,
+        "count": str(result.count),
+        "bound_touches": str(result.bound_touches),
+        "exhaustive_within_bound": result.exhaustive_within_bound,
+        "by_last": {str(k): str(v) for k, v in sorted(result.by_last.items())},
+    }
+    if args.list_solutions:
+        payload["solutions"] = result.solutions  # JSON writes each tuple as a list
+        return _write(args, [f"a{i}" for i in range(1, result.size + 1)],
+                      result.solutions, payload)
+    return _write(args, ["target", "size", "bound", "count", "bound_touches",
+                         "exhaustive_within_bound"],
+                  [[args.target, result.size, result.bound, result.count,
+                    result.bound_touches, result.exhaustive_within_bound]], payload)
 
 
 def cmd_verify(args):
     """Run every cross-check and report pass/fail per check."""
     report = verify.run_verify(max_size=args.max_size, order=args.order,
                                workers=args.workers)
-    if args.output_format == "json":
-        payload = {
-            "passed": report.passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed,
-                 "expected": repr(r.expected), "actual": repr(r.actual)}
-                for r in report.results
-            ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["check", "status", "expected", "actual"])
-        for r in report.results:
-            writer.writerow([r.name, "PASS" if r.passed else "FAIL",
-                             repr(r.expected), repr(r.actual)])
-    if not report.passed:
+    checks = [{"name": r.name, "passed": r.passed,
+               "expected": repr(r.expected), "actual": repr(r.actual)}
+              for r in report.results]
+    code = _write(args, ["check", "status", "expected", "actual"],
+                  ([c["name"], "PASS" if c["passed"] else "FAIL", c["expected"], c["actual"]]
+                   for c in checks),
+                  {"passed": report.passed, "checks": checks})
+    if not report.passed:  # reported even when stdout's reader has gone
         first = report.first_failure
         print(f"first failure: {first.name}: expected {first.expected!r}, "
               f"actual {first.actual!r}", file=sys.stderr)
         return EXIT_MISMATCH
-    return EXIT_OK
+    return code
 
 
 def build_parser():
@@ -176,9 +179,7 @@ def main(argv=None):
     try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError("--workers must be at least 1")
-        code = args.handler(args)
-        sys.stdout.flush()  # so that a closed stdout raises inside this try
-        return code
+        return args.handler(args)
     except (oracle.ResourceBudgetError, census.OrderLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -186,23 +187,8 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # any other failure, such as a fork that fails, is no mismatch
-        # stdout's reader has gone (a pipe broken in a computation leaves it
-        # open): point it at devnull, so that the exit-time flush stays silent
-        if isinstance(exc, BrokenPipeError) and _stdout_closed():
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_CLOSED_STDOUT
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_CRASH
-
-
-def _stdout_closed():
-    """Whether stdout is a pipe whose reader has gone, which poll reports as an error."""
-    try:
-        poller = select.poll()
-        poller.register(sys.stdout.fileno(), select.POLLOUT)
-    except (AttributeError, OSError):  # no poll, or no descriptor, as under a test's capture
-        return False
-    return any(mask & select.POLLERR for _, mask in poller.poll(0))
 
 
 def run():

@@ -74,7 +74,7 @@ def golden_checks():
         row = rows[label]["values"]
         report.check(f"golden:{label}:formula", row, [formula(n) for n in range(end + 1)])
         report.check(f"golden:{label}:series", row,
-                     list(census.series_row(label, end)[1].coeffs))
+                     list(census.series_row(label, end).coeffs))
     for label, k in (("U2", 2), ("U3", 3)):
         report.check(f"golden:{label}:series", rows[label]["values"],
                      list(census.series_U(k, end).coeffs))

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from quiddity import census, formulas, verify
+from quiddity import census, cli, formulas, verify
 from quiddity.matrices import TARGETS
 from quiddity.series import TruncSeries
 
@@ -46,6 +46,12 @@ def test_series_k_validation():
 
 def _row(family, n_max):
     return list(census.census_table(family, n_max).entries.values())
+
+
+def _cli_out(capsys, *argv):
+    """The stdout of one CLI call that exits 0."""
+    assert cli.main(list(argv)) == 0, argv
+    return capsys.readouterr().out
 
 
 def test_count_S_row():
@@ -145,9 +151,9 @@ def test_edge_orders_read_the_heads_of_longer_rows():
                 head = {n: full.entries[n] for n in range(start, n_max + 1)}
                 assert (table.family, table.entries) == (full.family, head), (family, n_max)
             if family in census.SERIES_FAMILIES:
-                label, row = census.series_row(family, 12, **indices)
+                row = census.series_row(family, 12, **indices)
                 for order in (0, 1):
-                    expected = (label, TruncSeries(row.coeffs[:order + 1]))
+                    expected = TruncSeries(row.coeffs[:order + 1])
                     assert census.series_row(family, order, **indices) == expected, (family, order)
     rows = {"Id": "Q", "S": "S", "T": "T", "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x",
             "STST": "y"}
@@ -188,7 +194,7 @@ def test_orders_above_the_limit_are_refused():
         value = census.census_table(family, 103, **indices).entries[103]
         assert (value < 0) == (family == "Ptilde"), family
         if family in census.SERIES_FAMILIES:
-            assert census.series_row(family, 103, **indices)[1].order == 103, family
+            assert census.series_row(family, 103, **indices).order == 103, family
     assert [census.count_solutions(name, 105) > 0 for name in TARGETS] == [True] * 8
 
 
@@ -271,10 +277,11 @@ def test_census_table_dissection_rows():
     assert census.census_table("E", 4).entries == {3: 0, 4: 6}
 
 
-def test_census_table_series_families():
+def test_census_table_series_families(capsys):
     table = census.census_table("V", 6, k=2)
     assert table.family == "V(2)"
-    assert json.loads(table.to_json())["provenance"] == "series"
+    out = _cli_out(capsys, "table", "--family", "V", "--k", "2", "--n-max", "6", "--format", "json")
+    assert json.loads(out)["provenance"] == "series"
     assert table.entries[2] == 1
     assert census.census_table("W", 8, k=2, l=3).entries[8] == 114
     assert census.census_table("S", 6).entries[6] == 50
@@ -324,7 +331,7 @@ def test_row_index_checks_keep_their_messages_and_precedence():
     for family in census.FAMILIES:
         readers = [("table", census.census_table, census.CountTable)]
         if family in census.SERIES_FAMILIES:
-            readers.append(("series", census.series_row, tuple))
+            readers.append(("series", census.series_row, TruncSeries))
         for k in (None, 0, 2):
             for l in (None, 0, 2):
                 try:
@@ -342,20 +349,22 @@ def test_row_index_checks_keep_their_messages_and_precedence():
                         assert str(raised.value) == expected, case
 
 
-def test_count_table_csv():
-    table = census.census_table("Q", 3)
-    assert table.to_csv() == "family,n,value\nQ,0,1\nQ,1,1\nQ,2,2\nQ,3,5\n"
-    quoted = census.census_table("W", 2, k=2, l=3).to_csv()
+def test_count_table_csv(capsys):
+    table = _cli_out(capsys, "table", "--family", "Q", "--n-max", "3")
+    assert table == "family,n,value\nQ,0,1\nQ,1,1\nQ,2,2\nQ,3,5\n"
+    quoted = _cli_out(capsys, "table", "--family", "W", "--k", "2", "--l", "3", "--n-max", "2")
     assert quoted.splitlines()[1] == '"W(2,3)",0,0'
 
 
-def test_count_table_json():
-    payload = json.loads(census.census_table("Q", 3).to_json())
+def test_count_table_json(capsys):
+    payload = json.loads(_cli_out(capsys, "table", "--family", "Q", "--n-max", "3",
+                                  "--format", "json"))
     assert payload["family"] == "Q"
     assert payload["provenance"] == "series"
     assert payload["values"] == {"0": "1", "1": "1", "2": "2", "3": "5"}
     assert all(isinstance(v, str) for v in payload["values"].values())
-    payload = json.loads(census.census_table("D", 3).to_json())
+    payload = json.loads(_cli_out(capsys, "table", "--family", "D", "--n-max", "3",
+                                  "--format", "json"))
     assert payload["family"] == "D"
     assert payload["provenance"] == "series"
     assert payload["values"] == {"1": "1", "2": "2", "3": "5"}

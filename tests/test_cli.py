@@ -5,7 +5,7 @@ import sys
 import time
 from pathlib import Path
 
-from quiddity import census, cli, oracle
+from quiddity import census, cli, formulas, oracle
 from quiddity.matrices import TARGETS
 
 RECORDED = Path(__file__).parent / "data" / "cli_outputs.json"
@@ -235,6 +235,48 @@ def test_crash_exits_4(capsys, monkeypatch):
         monkeypatch.setattr(oracle, "survey", failing)
         code, out, err = run_cli(capsys, "verify", "--max-size", "4")
         assert (code, out, err) == (4, "", line)
+
+
+def _with_closed_stdout(monkeypatch, argv):
+    """Exit code of one CLI call whose stdout is a pipe with its read end closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as closed, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", closed)
+        return cli.main(argv)
+
+
+def test_closed_stdout_is_found_by_the_write(capsys, monkeypatch):
+    # every command prints through the one writer, whose own write meets the closed pipe
+    for argv in (["table", "--family", "P", "--n-max", "5"],
+                 ["table", "--family", "P", "--n-max", "5", "--format", "json"],
+                 ["series", "--family", "W", "--k", "2", "--l", "3", "--order", "8"],
+                 ["oracle", "--target", "TSTS", "--size", "6", "--list"],
+                 ["verify", "--max-size", "0", "--order", "8"]):
+        assert _with_closed_stdout(monkeypatch, argv) == 141, argv
+        assert capsys.readouterr() == ("", ""), argv
+
+
+def test_broken_pipe_in_a_computation_exits_4_with_stdout_closed(capsys, monkeypatch):
+    # only the writer's own BrokenPipeError means a closed stdout: one raised
+    # before any output, as by a broken pool pipe, is a crash
+    def failing(*args, **kwargs):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(oracle, "survey", failing)
+    assert _with_closed_stdout(monkeypatch, ["verify", "--max-size", "4"]) == 4
+    assert capsys.readouterr() == ("", "error: BrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_verify_mismatch_exits_1_and_names_the_first_failure(capsys, monkeypatch):
+    # the mismatch is reported on stderr even when stdout's reader has gone
+    monkeypatch.setattr(formulas, "coeff_Q", lambda n: 0)
+    code, out, err = run_cli(capsys, "verify", "--max-size", "0", "--order", "8")
+    assert code == 1
+    assert out.splitlines()[1].startswith("golden:Q:formula,FAIL,")
+    assert err.startswith("first failure: golden:Q:formula: expected [1, 1, 2, 5, 15, ")
+    assert _with_closed_stdout(monkeypatch, ["verify", "--max-size", "0", "--order", "8"]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_closed_stdout_exits_141_silently():
