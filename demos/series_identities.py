@@ -20,12 +20,12 @@ def show(name, lhs, rhs):
 
 def main():
     one = TruncSeries.one(ORDER)
-    p = census.series_P(ORDER)
-    q = census.series_Q(ORDER)
-    p_inv = census.series_P_inverse(ORDER)
-    u1 = census.series_U(1, ORDER)
-    v1 = census.series_V(1, ORDER)
-    w11 = census.series_W(1, 1, ORDER)
+    p = census.series_row("P", ORDER)
+    q = census.series_row("Q", ORDER)
+    p_inv = census.series_row("Ptilde", ORDER)
+    u1 = census.series_row("U", ORDER, 1)
+    v1 = census.series_row("V", ORDER, 1)
+    w11 = census.series_row("W", ORDER, 1, 1)
 
     print(f"P  = {list(p.coeffs)}")
     print(f"Q  = {list(q.coeffs)}")
@@ -47,9 +47,9 @@ def main():
     total_u = TruncSeries.zero(ORDER)
     total_w = TruncSeries.zero(ORDER)
     for k in range(1, ORDER + 1):
-        total_v = total_v.add(census.series_V(k, ORDER))
-        total_u = total_u.add(census.series_U(k, ORDER))
-        total_w = total_w.add(census.series_W(1, k, ORDER))
+        total_v = total_v.add(census.series_row("V", ORDER, k))
+        total_u = total_u.add(census.series_row("U", ORDER, k))
+        total_w = total_w.add(census.series_row("W", ORDER, 1, k))
     show("sum_k V(k) = Q - 1", total_v, q.sub(one))
     show("sum_k U(k) = P - 1", total_u, p.sub(one))
     show("sum_k W(1,k) = V(1)", total_w, v1)
@@ -57,11 +57,11 @@ def main():
     print()
     print("V(k) triangle spot checks: coefficient n of V(k)")
     print("  V(n) at n is always 1:",
-          [census.series_V(n, ORDER).coeff(n) for n in range(1, ORDER + 1)])
+          [census.series_row("V", ORDER, n).coeff(n) for n in range(1, ORDER + 1)])
     print("  V(n-1) at n is n - 1: ",
-          [census.series_V(n - 1, ORDER).coeff(n) for n in range(2, ORDER + 1)])
+          [census.series_row("V", ORDER, n - 1).coeff(n) for n in range(2, ORDER + 1)])
     print("  V(k) at n for k > n:  ",
-          [census.series_V(n + 1, ORDER).coeff(n) for n in range(1, ORDER)])
+          [census.series_row("V", ORDER, n + 1).coeff(n) for n in range(1, ORDER)])
 
 
 if __name__ == "__main__":

@@ -18,9 +18,12 @@ solved from their functional equations when first needed, rows grown by
 U1 = 1 - 1/P, and the named-target rows as products of the same build's
 P, Q, U1, V1 and W11.  Each row is exact up to the build's order, so a
 table to index n, a series of order n, and a count or last-component
-histogram at size n + 2 all read the one build of order n.  An order
-above a fixed limit is refused with OrderLimitError.  No closed form
-enters the census: `formulas` is the route `verify` checks it by.
+histogram at size n + 2 all read the one build of order n.  One reader,
+`series_row(family, order, k, l)`, reads any family's row as a series,
+and `census_table` reads the same row as a table; both refuse a family
+or row indices through the one `check_row_indices`.  An order above a
+fixed limit is refused with OrderLimitError.  No closed form enters the
+census: `formulas` is the route `verify` checks it by.
 """
 
 import threading
@@ -29,17 +32,13 @@ from functools import lru_cache
 
 from .series import TruncSeries
 
-# Each family's first table index, the row indices it takes ("", "k" or
-# "kl") and whether it is a series row, which `series` prints too.
+# Each family's first table index and the row indices it takes: "", "k" or "kl".
 _FAMILY_TABLE = {
-    "P": (0, "", True), "Q": (0, "", True), "Ptilde": (0, "", True),
-    "D": (1, "", False), "E": (3, "", False), "F": (3, "", False),
-    "U": (0, "k", True), "V": (0, "k", True), "W": (0, "kl", True),
-    "S": (0, "", False), "T": (0, "", False), "u": (1, "", False), "v": (1, "", False),
-    "w": (1, "", False), "x": (1, "", False), "y": (1, "", False),
+    "P": (0, ""), "Q": (0, ""), "Ptilde": (0, ""), "D": (1, ""), "E": (3, ""), "F": (3, ""),
+    "U": (0, "k"), "V": (0, "k"), "W": (0, "kl"), "S": (0, ""), "T": (0, ""),
+    "u": (1, ""), "v": (1, ""), "w": (1, ""), "x": (1, ""), "y": (1, ""),
 }
 FAMILIES = tuple(_FAMILY_TABLE)
-SERIES_FAMILIES = tuple(family for family, (_, _, series) in _FAMILY_TABLE.items() if series)
 
 # The largest order a census read builds or a table prints.  A build of
 # order 1000 takes about 2 s, and one of twice the order more than ten
@@ -174,41 +173,13 @@ def _build(order):
     return _Build(order)
 
 
-def series_P(order):
-    """P truncated at `order`, solved from its functional equation."""
-    return _build(order).row("P")
-
-
-def series_Q(order):
-    """Q truncated at `order`, solved from its functional equation."""
-    return _build(order).row("Q")
-
-
-def series_P_inverse(order):
-    """1/P truncated at `order`; the series route to the Ptilde row."""
-    return _build(order).row("Ptilde")
-
-
-def series_U(k, order):
-    """(1 - 1/P)^k truncated at `order`."""
-    return series_row("U", order, k)
-
-
 def series_V(k, order):
     """Series of last-component-k counts: (Q - 1) * (1/P) * (1 - 1/P)^(k-1)."""
     return series_row("V", order, k)
 
 
-def series_W(k, l, order):
-    """Series of (first, last) = (k, l) counts: W11 * (1 - 1/P)^(k+l-2),
-    with W11 = (1/P) * (Q - 1) * (1/P)."""
-    return series_row("W", order, k, l)
-
-
 def series_row(family, order, k=None, l=None):
-    """The series of P, Q, Ptilde, U(k), V(k) or W(k,l) at `order`."""
-    if family not in SERIES_FAMILIES:
-        raise ValueError(f"unknown series family {family!r}")
+    """The row of any family, with the row indices it takes, as a series of `order`."""
     check_row_indices(family, k, l)
     return _build(order).row(family, k, l)
 
@@ -269,7 +240,9 @@ class CountTable:
 
 
 def check_row_indices(family, k, l):
-    """Require exactly the row indices the family takes, each at least 1."""
+    """Require a known family and exactly the row indices it takes, each at least 1."""
+    if family not in _FAMILY_TABLE:
+        raise ValueError(f"unknown family {family!r}")
     given = {"k": k, "l": l}
     takes = _FAMILY_TABLE[family][1]
     # no family takes l without k, so "needs" still comes before "does not take"
@@ -285,8 +258,6 @@ def check_row_indices(family, k, l):
 
 def census_table(family, n_max, k=None, l=None):
     """Build the CountTable of one family for all defined indices <= n_max."""
-    if family not in _FAMILY_TABLE:
-        raise ValueError(f"unknown family {family!r}")
     check_row_indices(family, k, l)
     start = _FAMILY_TABLE[family][0]
     if n_max < start:

@@ -60,7 +60,7 @@ def cmd_table(args):
 
 
 def cmd_series(args):
-    """Print raw coefficients 0..order of one named series."""
+    """Print the row of one family to --order, as table prints it to --n-max."""
     if args.order < 0:
         raise ValueError("--order must be nonnegative")
     return _print_table(args, args.order)
@@ -139,7 +139,7 @@ def build_parser():
 
     add_row_command("table", cmd_table, "print one family of counts", census.FAMILIES,
                     "--n-max", dest="n_max", required=True, help="largest index n to print")
-    add_row_command("series", cmd_series, "print raw series coefficients", census.SERIES_FAMILIES,
+    add_row_command("series", cmd_series, "print raw series coefficients", census.FAMILIES,
                     "--order", default=12, help="truncation order (default 12)")
 
     oracle_cmd = sub.add_parser("oracle", help="exhaustive search for one target")

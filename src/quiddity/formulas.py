@@ -4,11 +4,12 @@ Three closed forms are binomial sums: Ptilde's triple sum, one sum for
 every power P^e (e >= 1), and D.  Each sums only the terms that can be
 nonzero.  The factor C(m - 2i - 1, i) of every term (i = k and m = n in
 P^e and D, i = l and m = r in Ptilde) is 0 once 3i > m - 1 >= 0, so i
-stops at (m - 1) // 3, or at 0 for m = 0, where C(-1, 0) = 1; and
-Ptilde's C(j, k) is 0 once k > j.  Each hands its (numerator,
-denominator) terms to one exact-sum kernel, which adds them as exact
-rationals and requires an integer total; anything else raises
-NonIntegralSumError, since a fractional total can only mean a
+stops at (m - 1) // 3, or at 0 for m = 0, where the factor is
+C(-1, 0) = 1 and is written as 1; and Ptilde's C(j, k) is 0 once k > j.
+Every other binomial has 0 <= k <= top and is `math.comb`'s.  Each hands
+its (numerator, denominator) terms to one exact-sum kernel, which adds
+them as exact rationals and requires an integer total; anything else
+raises NonIntegralSumError, since a fractional total can only mean a
 transcription or convention bug.  Per-term integrality is not assumed.
 
 Q - 1, V1 and W11 are X P^e / (1 - X^3 P^3) for e = 2, 1 and 0, so each
@@ -18,10 +19,9 @@ is a ladder of P-power coefficients, term for term:
 P^e, Ptilde and D, the forms that sum terms, are evaluated once per
 process for each argument and then read from a cache, which the ladders,
 E, F and `verify`'s golden and identity checks read again.  Code that
-patches `binom_conv` or `_exact_sum` must first `cache_clear()` those
-three.  The census reads none of these forms: they are the independent
-route `verify` checks the census rows of P, Q, Ptilde, V1, W11, D, E and
-F by.
+patches `_exact_sum` must first `cache_clear()` those three.  The census
+reads none of these forms: they are the independent route `verify`
+checks the census rows of P, Q, Ptilde, V1, W11, D, E and F by.
 
 Series letters used across the package (defined by what they count, all
 for tuples of size n + 2):
@@ -45,19 +45,6 @@ from math import comb
 
 class NonIntegralSumError(ArithmeticError):
     """A formula that must produce an integer summed to a fraction."""
-
-
-def binom_conv(top, k):
-    """Binomial coefficient under the package's counting conventions.
-
-    A negative top returns 1, and that rule is checked first; otherwise
-    k outside 0..top returns 0; otherwise the standard value.
-    """
-    if top < 0:
-        return 1
-    if k < 0 or k > top:
-        return 0
-    return comb(top, k)
 
 
 def _exact_sum(label, terms):
@@ -100,7 +87,7 @@ def coeff_Ptilde(n):
         return 1
     return -_exact_sum(f"Ptilde_{n}", (
         ((-1 if (j - k) % 2 else 1) * comb(j, k) * (2 * j + 2)
-         * binom_conv(r - 2 * l - 1, l) * comb(2 * n - 4 * k - 4 * l - 1, r - 3 * l),
+         * (comb(r - 2 * l - 1, l) if r else 1) * comb(2 * n - 4 * k - 4 * l - 1, r - 3 * l),
          n + j - 2 * k - l + 1)
         for j in range(n) for k in range(min(j, (n - j - 1) // 2) + 1)
         for r in (n - j - 2 * k - 1,) for l in range(max(r - 1, 0) // 3 + 1)))
@@ -128,7 +115,7 @@ def coeff_powP(e, n):
     if n < 0:
         raise ValueError("index must be nonnegative")
     return _exact_sum(f"[X^{n}]P^{e}", (
-        (e * binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 4 * k + e - 1, n - 3 * k),
+        (e * (comb(n - 2 * k - 1, k) if n else 1) * comb(2 * n - 4 * k + e - 1, n - 3 * k),
          n - k + e)
         for k in range(max(n - 1, 0) // 3 + 1)))
 
@@ -139,7 +126,7 @@ def coeff_D(n):
     if n < 0:
         raise ValueError("index must be nonnegative")
     return _exact_sum(f"D_{n}", (
-        (binom_conv(n - 2 * k - 1, k) * binom_conv(2 * n - 3 * k, n - 3 * k), n + 1)
+        ((comb(n - 2 * k - 1, k) if n else 1) * comb(2 * n - 3 * k, n - 3 * k), n + 1)
         for k in range(max(n - 1, 0) // 3 + 1)))
 
 

@@ -77,12 +77,12 @@ def golden_checks():
                      list(census.series_row(label, end).coeffs))
     for label, k in (("U2", 2), ("U3", 3)):
         report.check(f"golden:{label}:series", rows[label]["values"],
-                     list(census.series_U(k, end).coeffs))
+                     list(census.series_row("U", end, k).coeffs))
 
     v_rows = golden["V_rows"]
     for key in sorted(v_rows, key=int):
         report.check(f"golden:V:row-{key}", v_rows[key],
-                     list(census.series_V(int(key), end).coeffs))
+                     list(census.series_row("V", end, int(key)).coeffs))
     column_sums = [sum(v_rows[str(k)][n] for k in range(1, n + 1))
                    for n in range(1, end + 1)]
     report.check("golden:V:column-sums", q_row[1:], column_sums)
@@ -111,13 +111,13 @@ def golden_checks():
     w_rows = golden["W1k_rows"]
     for key in sorted(w_rows, key=int):
         report.check(f"golden:W:row-{key}", w_rows[key],
-                     list(census.series_W(1, int(key), end).coeffs))
+                     list(census.series_row("W", end, 1, int(key)).coeffs))
     w_sums = [sum(w_rows[str(k)][n] for k in range(1, n + 1))
               for n in range(1, end + 1)]
     report.check("golden:W:column-sums", v_rows["1"][1:], w_sums)
     for first, last, n, value in golden["W_spots"]:
         report.check(f"golden:W:spot-{first}-{last}-{n}", value,
-                     census.series_W(first, last, end).coeff(n))
+                     census.series_row("W", end, first, last).coeff(n))
 
     families = golden["family_rows"]
     for tag in ("S", "T", "u", "v", "w", "x", "y"):
@@ -139,9 +139,9 @@ def identity_checks(order=IDENTITY_ORDER):
         raise ValueError("identity order must be at least 3")
     report = VerifyReport()
     # the census refuses an order above its limit before anything is allocated
-    p = census.series_P(order)
-    q = census.series_Q(order)
-    p_inv = census.series_P_inverse(order)
+    p = census.series_row("P", order)
+    q = census.series_row("Q", order)
+    p_inv = census.series_row("Ptilde", order)
     one = TruncSeries.one(order)
     p2 = p.mul(p)
     xp2 = p2.shift(1)
@@ -157,9 +157,9 @@ def identity_checks(order=IDENTITY_ORDER):
 
     report.check("identity:inverse-roundtrip", one.coeffs, p.mul(p_inv).coeffs)
 
-    v1 = census.series_V(1, order)
-    u1 = census.series_U(1, order)
-    w11 = census.series_W(1, 1, order)
+    v1 = census.series_row("V", order, 1)
+    u1 = census.series_row("U", order, 1)
+    w11 = census.series_row("W", order, 1, 1)
     q_minus_1 = q.sub(one)
     p_minus_1 = p.sub(one)
     report.check("identity:V1-times-P", q_minus_1.coeffs, v1.mul(p).coeffs)
@@ -167,10 +167,10 @@ def identity_checks(order=IDENTITY_ORDER):
     report.check("identity:P-W11-P", q_minus_1.coeffs, p.mul(w11).mul(p).coeffs)
 
     ks = range(1, order + 1)
-    v_rows = {k: census.series_V(k, order) for k in ks}
+    v_rows = {k: census.series_row("V", order, k) for k in ks}
     v_total = sum(v_rows.values(), TruncSeries.zero(order))
-    u_total = sum((census.series_U(k, order) for k in ks), TruncSeries.zero(order))
-    w_total = sum((census.series_W(1, k, order) for k in ks), TruncSeries.zero(order))
+    u_total = sum((census.series_row("U", order, k) for k in ks), TruncSeries.zero(order))
+    w_total = sum((census.series_row("W", order, 1, k) for k in ks), TruncSeries.zero(order))
     report.check("identity:V-column-sums", q_minus_1.coeffs, v_total.coeffs)
     report.check("identity:U-column-sums", p_minus_1.coeffs, u_total.coeffs)
     report.check("identity:W-row-sums", v1.coeffs, w_total.coeffs)
@@ -203,10 +203,10 @@ def identity_checks(order=IDENTITY_ORDER):
 
     # W(k, l) = P^-1 V(k) U(l-1), with U(0) = 1: a route that never reads W(1, k+l-1)
     for k, l in ((2, 2), (3, 2), (2, 4), (5, 3)):
-        u = census.series_U(l - 1, order) if l > 1 else one
+        u = census.series_row("U", order, l - 1) if l > 1 else one
         report.check(f"identity:W-shift-{k}-{l}",
-                     list(p_inv.mul(census.series_V(k, order)).mul(u).coeffs),
-                     list(census.series_W(k, l, order).coeffs))
+                     list(p_inv.mul(census.series_row("V", order, k)).mul(u).coeffs),
+                     list(census.series_row("W", order, k, l).coeffs))
 
     for family, formula in zip("DEF", (formulas.coeff_D, formulas.coeff_E, formulas.coeff_F)):
         entries = census.census_table(family, order).entries
@@ -230,7 +230,7 @@ def oracle_checks(max_size=ORACLE_MAX_SIZE, workers=1):
             exp_fl = {}
             for first in range(1, n + 1):
                 for last in range(1, n + 2 - first):
-                    value = census.series_W(first, last, n).coeff(n)
+                    value = census.series_row("W", n, first, last).coeff(n)
                     if value:
                         exp_fl[(first, last)] = value
             report.check(f"oracle:Id-first-last:size-{size}",

@@ -12,36 +12,37 @@ from quiddity.series import TruncSeries
 
 
 def test_series_rows_pinned():
-    assert census.series_P(7).coeffs == (1, 1, 2, 5, 15, 48, 160, 550)
-    assert census.series_Q(7).coeffs == (1, 1, 2, 5, 15, 49, 166, 577)
+    assert census.series_row("P", 7).coeffs == (1, 1, 2, 5, 15, 48, 160, 550)
+    assert census.series_row("Q", 7).coeffs == (1, 1, 2, 5, 15, 49, 166, 577)
     assert census.series_V(1, 7).coeffs == (0, 1, 1, 2, 6, 19, 62, 209)
-    assert census.series_W(1, 1, 7).coeffs == (0, 1, 0, 0, 1, 3, 9, 29)
+    assert census.series_row("W", 7, 1, 1).coeffs == (0, 1, 0, 0, 1, 3, 9, 29)
 
 
 def test_series_constructions_agree():
     order = 10
     one = TruncSeries.one(order)
-    assert census.series_P_inverse(order) == census.series_P(order).inverse()
-    assert census.series_U(1, order) == one.sub(census.series_P_inverse(order))
-    assert census.series_U(3, order) == census.series_U(1, order).pow(3)
+    assert census.series_row("Ptilde", order) == census.series_row("P", order).inverse()
+    assert census.series_row("U", order, 1) == one.sub(census.series_row("Ptilde", order))
+    assert census.series_row("U", order, 3) == census.series_row("U", order, 1).pow(3)
     assert census.series_V(2, order) == census.series_V(1, order).mul(
-        census.series_U(1, order)
+        census.series_row("U", order, 1)
     )
     # W(k, l) = W11 U1^(k+l-2) with W11 = V1 / P, so a route through V(k) and U(l-1)
-    assert census.series_W(2, 3, order) == census.series_P_inverse(order).mul(
-        census.series_V(2, order)).mul(census.series_U(2, order))
+    assert census.series_row("W", order, 2, 3) == census.series_row("Ptilde", order).mul(
+        census.series_V(2, order)).mul(census.series_row("U", order, 2))
 
 
 def test_series_k_validation():
     with pytest.raises(ValueError):
-        census.series_U(0, 5)
+        census.series_row("U", 5, 0)
     with pytest.raises(ValueError):
         census.series_V(0, 5)
     with pytest.raises(ValueError):
-        census.series_W(1, 0, 5)
-    # a named-target row is a table, not a series
-    with pytest.raises(ValueError, match="unknown series family 'S'"):
-        census.series_row("S", 5)
+        census.series_row("W", 5, 1, 0)
+    # a named-target row is a series of the one build too, the row its table prints
+    assert list(census.series_row("S", 5).coeffs) == _row("S", 5)
+    with pytest.raises(ValueError, match="^unknown family 'Z'$"):
+        census.series_row("Z", 5)
 
 
 def _row(family, n_max):
@@ -65,7 +66,7 @@ def test_count_T_row():
     assert _row("T", 6) == [0, 1, 2, 5, 16, 53, 180]
     s, t = census.census_table("S", 9).entries, census.census_table("T", 9).entries
     for n in range(1, 9):
-        assert t[n] == s[n - 1] + census.series_Q(n).coeff(n)
+        assert t[n] == s[n - 1] + census.series_row("Q", n).coeff(n)
 
 
 def test_count_family_small_values():
@@ -75,7 +76,7 @@ def test_count_family_small_values():
     assert census.census_table("y", 1).entries == {1: 0}
     s, v = census.census_table("S", 8).entries, census.census_table("v", 8).entries
     for n in range(2, 8):
-        assert v[n] == census.series_Q(n).coeff(n - 1) + s[n]
+        assert v[n] == census.series_row("Q", n).coeff(n - 1) + s[n]
 
 
 def test_count_family_validation():
@@ -150,11 +151,10 @@ def test_edge_orders_read_the_heads_of_longer_rows():
                 table = census.census_table(family, n_max, **indices)
                 head = {n: full.entries[n] for n in range(start, n_max + 1)}
                 assert (table.family, table.entries) == (full.family, head), (family, n_max)
-            if family in census.SERIES_FAMILIES:
-                row = census.series_row(family, 12, **indices)
-                for order in (0, 1):
-                    expected = TruncSeries(row.coeffs[:order + 1])
-                    assert census.series_row(family, order, **indices) == expected, (family, order)
+            row = census.series_row(family, 12, **indices)
+            for order in (0, 1):
+                expected = TruncSeries(row.coeffs[:order + 1])
+                assert census.series_row(family, order, **indices) == expected, (family, order)
     rows = {"Id": "Q", "S": "S", "T": "T", "T^-1": "u", "TS": "v", "ST": "w", "TSTS": "x",
             "STST": "y"}
     for size in (3, 4):
@@ -175,9 +175,8 @@ def test_orders_above_the_limit_are_refused():
         indices = _EDGE_INDICES.get(family, ({},))[-1]
         with pytest.raises(census.OrderLimitError):
             census.census_table(family, limit + 1, **indices)
-        if family in census.SERIES_FAMILIES:
-            with pytest.raises(census.OrderLimitError):
-                census.series_row(family, limit + 1, **indices)
+        with pytest.raises(census.OrderLimitError):
+            census.series_row(family, limit + 1, **indices)
     for name in TARGETS:
         with pytest.raises(census.OrderLimitError):
             census.count_solutions(name, limit + 3)
@@ -193,13 +192,12 @@ def test_orders_above_the_limit_are_refused():
         indices = _EDGE_INDICES.get(family, ({},))[-1]
         value = census.census_table(family, 103, **indices).entries[103]
         assert (value < 0) == (family == "Ptilde"), family
-        if family in census.SERIES_FAMILIES:
-            assert census.series_row(family, 103, **indices).order == 103, family
+        assert census.series_row(family, 103, **indices).order == 103, family
     assert [census.count_solutions(name, 105) > 0 for name in TARGETS] == [True] * 8
 
 
 def test_negative_orders_are_refused_by_name():
-    for read in (lambda: census.series_P(-1), lambda: census.series_V(1, -1),
+    for read in (lambda: census.series_row("P", -1), lambda: census.series_V(1, -1),
                  lambda: census.series_row("U", -2, 1)):
         with pytest.raises(ValueError, match=r"^census order -[12] is negative$"):
             read()
@@ -327,11 +325,9 @@ def test_row_index_checks_keep_their_messages_and_precedence():
     # census-48 runs its tables in FAMILIES order, and the CLI offers these choices
     assert census.FAMILIES == ("P", "Q", "Ptilde", "D", "E", "F", "U", "V", "W",
                                "S", "T", "u", "v", "w", "x", "y")
-    assert census.SERIES_FAMILIES == ("P", "Q", "Ptilde", "U", "V", "W")
+    readers = [("table", census.census_table, census.CountTable),
+               ("series", census.series_row, TruncSeries)]
     for family in census.FAMILIES:
-        readers = [("table", census.census_table, census.CountTable)]
-        if family in census.SERIES_FAMILIES:
-            readers.append(("series", census.series_row, TruncSeries))
         for k in (None, 0, 2):
             for l in (None, 0, 2):
                 try:
@@ -371,9 +367,9 @@ def test_count_table_json(capsys):
 
 
 def test_clear_caches_keeps_results():
-    before = census.series_Q(6)
+    before = census.series_row("Q", 6)
     census._build.cache_clear()
-    assert census.series_Q(6) == before
+    assert census.series_row("Q", 6) == before
 
 
 def test_census_route_uses_no_closed_form(monkeypatch):
@@ -385,13 +381,13 @@ def test_census_route_uses_no_closed_form(monkeypatch):
             monkeypatch.setattr(formulas, name, closed_form_called)
     # builds made before the patch would hide a closed-form call
     census._build.cache_clear()
-    assert census.series_P(8).coeffs == (1, 1, 2, 5, 15, 48, 160, 550, 1937)
-    assert census.series_Q(8).coeffs == (1, 1, 2, 5, 15, 49, 166, 577, 2050)
-    assert census.series_P_inverse(8).coeffs == (
+    assert census.series_row("P", 8).coeffs == (1, 1, 2, 5, 15, 48, 160, 550, 1937)
+    assert census.series_row("Q", 8).coeffs == (1, 1, 2, 5, 15, 49, 166, 577, 2050)
+    assert census.series_row("Ptilde", 8).coeffs == (
         1, -1, -1, -2, -6, -18, -57, -189, -648)
-    assert census.series_U(2, 8).coeffs == (0, 0, 1, 2, 5, 16, 52, 174, 600)
+    assert census.series_row("U", 8, 2).coeffs == (0, 0, 1, 2, 5, 16, 52, 174, 600)
     assert census.series_V(3, 8).coeffs == (0, 0, 0, 1, 3, 9, 31, 109, 388)
-    assert census.series_W(2, 3, 8).coeffs == (0, 0, 0, 0, 1, 3, 9, 32, 114)
+    assert census.series_row("W", 8, 2, 3).coeffs == (0, 0, 0, 0, 1, 3, 9, 32, 114)
     assert _row("S", 8) == [0, 0, 0, 1, 4, 14, 50, 182, 670]
     assert _row("T", 8) == [0, 1, 2, 5, 16, 53, 180, 627, 2232]
     families = {

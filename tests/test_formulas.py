@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from quiddity import census, formulas, verify
-from quiddity.formulas import binom_conv
 
 MEMOIZED = (formulas.coeff_powP, formulas.coeff_Ptilde, formulas.coeff_D)
 
@@ -21,25 +20,6 @@ def fresh_closed_forms():
     clear_closed_forms()
     yield
     clear_closed_forms()
-
-
-def test_binom_conv_negative_top_is_one():
-    # the convention the closed forms rely on: empty constrained products
-    assert binom_conv(-1, 0) == 1
-    assert binom_conv(-2, 3) == 1
-    # negative top wins over negative k (no in-scope formula hits this pair)
-    assert binom_conv(-1, -1) == 1
-
-
-def test_binom_conv_out_of_range_is_zero():
-    assert binom_conv(4, -1) == 0
-    assert binom_conv(4, 5) == 0
-
-
-def test_binom_conv_matches_comb_in_range():
-    for top in range(0, 9):
-        for k in range(0, top + 1):
-            assert binom_conv(top, k) == math.comb(top, k)
 
 
 def test_coeff_P_row():
@@ -109,8 +89,8 @@ def test_index_guards():
 
 def test_non_integral_sum_names_its_label(monkeypatch):
     # binomials that are all off by one, as a convention slip would make them
-    real = formulas.binom_conv
-    monkeypatch.setattr(formulas, "binom_conv", lambda top, k: real(top, k) + 1)
+    real = formulas.comb
+    monkeypatch.setattr(formulas, "comb", lambda top, k: real(top, k) + 1)
     with pytest.raises(formulas.NonIntegralSumError,
                        match=r"^D_4 summed to the non-integer 154/5$"):
         formulas.coeff_D(4)
@@ -143,6 +123,16 @@ def test_every_closed_form_sums_through_the_kernel(monkeypatch):
     assert [formulas.coeff_W11(n) for n in (2, 3)] == [0, 0]
 
 
+def _binom(top, k):
+    """The binomial under the closed forms' first conventions: a negative top
+    gives 1, checked first; otherwise k outside 0..top gives 0."""
+    if top < 0:
+        return 1
+    if k < 0 or k > top:
+        return 0
+    return math.comb(top, k)
+
+
 def _ptilde_full_range(n):
     """Ptilde_n by the triple sum over every (j, k, l) of its plain ranges,
     the vanishing terms included."""
@@ -150,8 +140,8 @@ def _ptilde_full_range(n):
         return 1
     return -formulas._exact_sum(f"Ptilde_{n}", (
         ((-1 if (j - k) % 2 else 1) * math.comb(j, k) * (2 * j + 2)
-         * binom_conv(n - j - 2 * k - 2 * l - 2, l)
-         * binom_conv(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
+         * _binom(n - j - 2 * k - 2 * l - 2, l)
+         * _binom(2 * n - 4 * k - 4 * l - 1, n - j - 2 * k - 3 * l - 1),
          n + j - 2 * k - l + 1)
         for j in range(n) for k in range((n - j - 1) // 2 + 1)
         for l in range((n - j - 2 * k - 1) // 3 + 1)))
@@ -189,15 +179,15 @@ def test_the_closed_forms_hand_the_kernel_no_zero_term(monkeypatch):
 
 def test_closed_forms_equal_one_series_build_to_order_100():
     order = 100
-    p, q = census.series_P(order), census.series_Q(order)
-    v1, w11 = census.series_V(1, order), census.series_W(1, 1, order)
+    p, q = census.series_row("P", order), census.series_row("Q", order)
+    v1, w11 = census.series_V(1, order), census.series_row("W", order, 1, 1)
     assert [formulas.coeff_Q(n) for n in range(order + 1)] == list(q.coeffs)
     assert [formulas.coeff_V1(n) for n in range(1, order + 1)] == list(v1.coeffs[1:])
     assert [formulas.coeff_W11(n) for n in range(order + 1)] == list(w11.coeffs)
     for e in (1, 2, 3):
         assert [formulas.coeff_powP(e, n) for n in range(order + 1)] == list(p.pow(e).coeffs)
     # the triple sum costs about the order to the fourth power; CI runs it to 100
-    ptilde = census.series_P_inverse(order).coeffs[:49]
+    ptilde = census.series_row("Ptilde", order).coeffs[:49]
     assert [formulas.coeff_Ptilde(n) for n in range(49)] == list(ptilde)
     for family, formula in zip("DEF", (formulas.coeff_D, formulas.coeff_E, formulas.coeff_F)):
         entries = census.census_table(family, order).entries

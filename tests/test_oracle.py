@@ -109,7 +109,7 @@ def test_first_last_matches_series():
     n = 4
     for first in range(1, n + 1):
         for last in range(1, n + 2 - first):
-            expected = census.series_W(first, last, n).coeff(n)
+            expected = census.series_row("W", n, first, last).coeff(n)
             assert _pinned_count("Id", n + 2, {1: first, n + 2: last}) == expected
     assert _pinned_count("TS", 1, {1: 1}) == 1
     assert _pinned_count("TS", 1, {1: 2}) == 0
@@ -543,7 +543,7 @@ def test_pinned_ends_are_folded(monkeypatch):
     # table over a_3..a_5, a_6 implicit, sweep over a_7..a_9; the spare is
     # 24 - 2 - 3 - 8 = 11
     yielded.clear()
-    assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_W(2, 3, 8).coeff(8)
+    assert _pinned_count("Id", 10, {1: 2, 10: 3}) == census.series_row("W", 8, 2, 3).coeff(8)
     assert yielded == [_capped([1] * 3, [10] * 3, 14)] * 2 == [352, 352]
     # peeling a_5 leaves a_1..a_4 with a_2 pinned; a table over nothing
     # would leave a sweep of 25 over a_3..a_4, over this budget, so the
@@ -1070,7 +1070,7 @@ def test_capped_id_searches_match_the_census():
         ends = range(1, n + 1)
 
         def w_row(first, last):
-            return census.series_W(first, last, n).coeff(n)
+            return census.series_row("W", n, first, last).coeff(n)
 
         res = solve(OracleQuery(target="Id", size=size))
         assert (res.count, res.by_last) == (census.count_solutions("Id", size),

@@ -94,8 +94,10 @@ def test_fault_injection_through_cli(broken_coeff_Q, capsys):
 
 def test_w_shift_fails_on_a_wrong_row_rule(monkeypatch):
     # W(k, l) read off row k + l instead of k + l - 1
-    monkeypatch.setattr(census, "series_W",
-                        lambda k, l, order: census._build(order).row("W", k + l))
+    real = census.series_row
+    monkeypatch.setattr(census, "series_row", lambda family, order, k=None, l=None:
+                        census._build(order).row("W", k + l) if family == "W"
+                        else real(family, order, k, l))
     by_name = {r.name: r.passed for r in verify.identity_checks(order=16).results}
     shifts = [name for name in by_name if name.startswith("identity:W-shift-")]
     assert len(shifts) == 4
