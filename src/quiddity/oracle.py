@@ -55,11 +55,13 @@ probes, as at odd sizes in survey, the table is semi-joined to the
 sweep: the sweep is walked once, by _join itself, to collect the keys
 its probes look up, and the table stores only the entries under those
 keys.  survey(11) then stores 1,828 of 161,051 entries, and survey(13)
-12,682 of 4,826,809.  The budget still counts the full table box.
+12,673 of 4,826,809, both within the caps below.  The budget still
+counts the full table box.
 
-When every target is +/-Id, the join also prunes by a proven bound:
-the components of a positive solution of m_n(a_1..a_n) = +/-Id sum to
-at most 3n - 6, and to a multiple of 3.  By induction on n:
+When every target is one of the eight named targets up to sign, the
+join also prunes by a proven bound.  First, the components of a positive
+solution of m_n(a_1..a_n) = +/-Id sum to at most 3n - 6, and to a
+multiple of 3.  By induction on n:
 
   - No solution has every a_i >= 2: the first column (p_k, p_(k-1)) of
     elem(a_k)...elem(a_1) then has p_k - p_(k-1) >= p_(k-1) - p_(k-2)
@@ -75,11 +77,36 @@ at most 3n - 6, and to a multiple of 3.  By induction on n:
     The smaller solution has size 3 or more, so its sum is at most
     3(n - 1) - 6 and a multiple of 3, and the claim follows.
 
-The bound is reached by the fan quiddity (n - 2, 1, 2, ..., 2, 1).  So
-_plan gives each side a digit-sum cap, 3n - 6 less the lows of every
-component outside it, and _iter_runs walks only the tuples within it.
-The budget checks, the split and the semi-join test still count full
-boxes, and the direct route stays unpruned.
+The bound is reached by the fan quiddity (n - 2, 1, 2, ..., 2, 1).  Each
+named target M's solutions then fold into Id solutions:
+
+  - For all integers x and y, elem(x)*elem(0)*elem(y) = -elem(x + y).
+  - _BLOCKS gives M an integer block c of length k with m_k(c)*M = +/-Id,
+    so m_n(a) = +/-M makes the cycle (a, c) a +/-Id product.
+  - Rotating the cycle and merging each 0 of c into its two neighbours
+    leaves a positive +/-Id solution of size n + k - 2z, z the zeros of
+    c, whose sum is sum(a) + sum(c).
+  - So for n >= 2 a solution of M sums to at most 3n + d_M, where
+    d_M = 3(k - 2z) - 6 - sum(c).  If the merged size is 2 or less, M
+    has no solution of size n.
+
+    M      c             merged Id solution           d_M
+    Id     ()            a                             -6
+    S      (0)           (a1+an, a2..a(n-1))           -9
+    T      (1, 1, 0)     (a1+1, a2..an, 1)             -5
+    T^-1   (0, 1)        (a1..a(n-1), an+1)            -7
+    TS     (0, -1, 0)    (a1+an-1, a2..a(n-1))         -8
+    ST     (0, 1, 1, 0)  (a1+1, a2..a(n-1), an+1)      -8
+    TSTS   (1)           (a1..an, 1)                   -4
+    STST   (0, 1, 0)     (a1+an+1, a2..a(n-1))        -10
+
+Each d_M is reached at every size 3..11 where M has a solution, so no
+lower cap holds.  _plan
+gives a batch the largest d_M of its targets, and each side a digit-sum
+cap, 3n + d_M less the lows of every component outside it; _iter_runs
+walks only the tuples within it.  A batch with any other target gets no
+cap.  The budget checks, the split and the semi-join test still count
+full boxes, and the direct route stays unpruned.
 
 Every route walks its box with one odometer, _iter_runs, which yields
 each run of the innermost digit once, with the odometer index of its
@@ -118,6 +145,15 @@ from .matrices import IDENTITY, Mat2, TARGETS, check_target, equal_up_to_sign, m
 DEFAULT_MAX_TABLE_ENTRIES = 8_000_000  # at about 110 B per table entry, a 0.9 GB table
 
 _ZERO_KEY = 0  # the table key of every Z' with z'11 = 0; other keys are >= 1
+
+# the block c of each named target M, with m_k(c) * M = +/-Id (module docstring)
+_BLOCKS = {"Id": (), "S": (0,), "T": (1, 1, 0), "T^-1": (0, 1), "TS": (0, -1, 0),
+           "ST": (0, 1, 1, 0), "TSTS": (1,), "STST": (0, 1, 0)}
+# d_M = 3(k - 2z) - 6 - sum(c), z the zeros of c, by the entries of M and of -M:
+# a solution of M of size n sums to at most 3n + d_M
+_EXCESS = {entries: 3 * (len(block) - 2 * block.count(0)) - 6 - sum(block)
+           for name, block in _BLOCKS.items()
+           for entries in (TARGETS[name].entries(), (-TARGETS[name]).entries())}
 
 
 class ResourceBudgetError(RuntimeError):
@@ -445,7 +481,7 @@ class _Search(NamedTuple):
     table_size: int      # tuples in table_box
     sweep_size: int      # tuples in sweep_box
     table_cap: int       # the largest digit sum a table tuple of a solution can have,
-    sweep_cap: int       # and a sweep tuple; None unless every target is +/-Id
+    sweep_cap: int       # and a sweep tuple; None unless every target is named
     table: dict = None   # _build_table over table_box
     widths: tuple = (0, 0, 0)  # (cbits, shift, limit) of its packed entries
     want_list: bool = False
@@ -601,10 +637,12 @@ def _plan(size, bound, fixed, target_rows):
     number of probes as small as possible, then the table: a free box of
     size m with one target takes h = m//2 + 1.
 
-    When every target is +/-Id, each side gets a digit-sum cap: a solution
-    sums to at most 3*size - 6 (module docstring), and every component
-    outside the side is at least its low, so the side's digits sum to at
-    most its own lows plus the spare 3*size - 6 - sum(lows of the box).
+    When every target is named up to sign, each side gets a digit-sum cap:
+    a solution sums to at most 3*size + d_M, d_M the largest of the batch's
+    _EXCESS (module docstring), and every component outside the side is at
+    least its low, so the side's digits sum to at most its own lows plus the
+    spare 3*size + d_M - sum(lows of the box).  Any other target in the
+    batch leaves both caps None.
     """
     start, stop = 1, size
     while stop - start > 2 and start in fixed:
@@ -612,8 +650,8 @@ def _plan(size, bound, fixed, target_rows):
     while stop - start > 2 and stop in fixed:
         stop -= 1
     lows, highs = _box(size, bound, fixed)
-    plus_minus_id = {IDENTITY.entries(), (-IDENTITY).entries()}
-    spare = 3 * size - 6 - sum(lows) if set(target_rows) <= plus_minus_id else None
+    excess = [_EXCESS.get(row) for row in target_rows]
+    spare = None if None in excess else 3 * size + max(excess) - sum(lows)
     head, tail = tuple(lows[:start - 1]), tuple(lows[stop:])
     lows, highs = tuple(lows[start - 1:stop]), tuple(highs[start - 1:stop])
     head_inv = m_n(head).inverse() if head else IDENTITY

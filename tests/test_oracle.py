@@ -521,9 +521,10 @@ def _capped(lows, highs, cap):
 
 
 def test_pinned_ends_are_folded(monkeypatch):
-    # counts the tuples of each walk as the sum of its run widths; every
-    # target is Id, so each side walks only the tuples within its digit-sum
-    # cap, 3*size - 6 less the lows of every component outside the side
+    # counts the tuples of each walk as the sum of its run widths; for a
+    # named target each side walks only the tuples within its digit-sum cap,
+    # 3*size + d_M less the lows of every component outside the side, where
+    # d_M = -6 for Id and -4 for TSTS
     yielded = []
     real = oracle._iter_runs
 
@@ -561,9 +562,17 @@ def test_pinned_ends_are_folded(monkeypatch):
     assert _pinned_count("Id", 8, {2: 1, 3: 2}) == 22
     assert yielded == [_capped([1, 2, 1, 1], [1, 2, 8, 8], 14), _capped([1] * 2, [8] * 2, 11)]
     assert yielded == [49, 49]
-    # any other target walks the whole boxes of the same split
+    # TSTS walks the same split within its own caps; the spare is 20 - 9 = 11
+    pins = {2: 1, 3: 2}
+    want = [solve(OracleQuery(target, 8, constraints=pins, method="direct")).count
+            for target in ("TSTS", "[[2,3],[1,2]]")]
     yielded.clear()
-    assert _pinned_count("TSTS", 8, {2: 1, 3: 2}) > 0
+    assert _pinned_count("TSTS", 8, pins) == want[0] == 32
+    assert yielded == [_capped([1, 2, 1, 1], [1, 2, 8, 8], 16), _capped([1] * 2, [8] * 2, 13)]
+    assert yielded == [58, 58]
+    # a target outside the named eight walks the whole boxes of the same split
+    yielded.clear()
+    assert _pinned_count("[[2,3],[1,2]]", 8, pins) == want[1] == 21
     assert yielded == [8 ** 2, 8 ** 2]
 
 
@@ -600,32 +609,50 @@ def test_plan_never_enlarges_a_side():
             (), (), (1, bound), (1, bound))
         assert (search.table_box, search.sweep_box) == (((1,) * (h - 2), (bound,) * (h - 2)),
                                                         ((1,) * (size - h), (bound,) * (size - h)))
-        # -Id, alone or with Id, has the same caps; any other target in the batch drops them
         caps = (search.table_cap, search.sweep_cap)
         assert caps == (3 * size - 6 - (size - h + 2),) + (3 * size - 6 - h,)
-        for rows in ([(-1, 0, 0, -1)], identity + [(-1, 0, 0, -1)]):
+        # a batch gets the largest d_M of its targets: -6 for -Id, alone or with
+        # Id, and for Id with S, whose d_S = -9; -4 for TSTS and for -TSTS; a
+        # target outside the named eight in the batch drops the caps
+        tsts = matrices.TARGETS["TSTS"]
+        for rows, excess in (([(-1, 0, 0, -1)], -6), (identity + [(-1, 0, 0, -1)], -6),
+                             (identity + [(0, -1, 1, 0)], -6), ([tsts.entries()], -4),
+                             ([(-tsts).entries()], -4), ([(2, 3, 1, 2)], None),
+                             (identity + [tsts.entries(), (2, 3, 1, 2)], None)):
             planned = oracle._plan(size, bound, {}, rows)
-            assert (planned.table_cap, planned.sweep_cap) == caps
-        for rows in ([matrices.TARGETS["TSTS"].entries()], identity + [(0, -1, 1, 0)]):
-            planned = oracle._plan(size, bound, {}, rows)
-            assert (planned.table_cap, planned.sweep_cap) == (None, None)
+            if excess is None:
+                assert (planned.table_cap, planned.sweep_cap) == (None, None), (size, rows)
+                continue
+            ends = planned.first[0] + planned.implicit[0]
+            assert (planned.table_cap + ends + sum(planned.sweep_box[0]),
+                    planned.sweep_cap + ends + sum(planned.table_box[0])) == (
+                        (3 * size + excess,) * 2), (size, rows)
 
 
 def test_every_pin_set_matches_direct():
     # every pin set at sizes 3..7, all at 1 or all at 3, under bounds 2 and 3:
     # each peels, folds and splits its own way, and count, touches, both
-    # histograms and listings must equal the direct route's
+    # histograms and listings of each target's own solve must equal the
+    # direct route's, one walk for all targets; the other five named
+    # targets, each under its own digit-sum caps, join in to size 6
     cases = 0
     for size in range(3, 8):
+        targets = ["Id", "TSTS", "T^-1", "[[2,3],[1,2]]"]
+        targets += ["S", "T", "TS", "ST", "STST"] if size <= 6 else []
+        normalized = [oracle._normalize_target(target) for target in targets]
         for mask in range(1 << size):
             for value in (1, 3):
                 pins = {pos: value for pos in range(1, size + 1) if mask >> (pos - 1) & 1}
                 for bound in (2, 3):
-                    for target in ("Id", "TSTS", "T^-1", "[[2,3],[1,2]]"):
-                        direct, mitm = _both_routes(target, size, bound, pins)
-                        assert mitm == direct, (target, size, bound, pins)
+                    direct = oracle._run(normalized, size, bound, pins, "direct", 1,
+                                         oracle.DEFAULT_MAX_TABLE_ENTRIES, True)
+                    for target, res in zip(targets, direct):
+                        mitm = solve(OracleQuery(target=target, size=size, bound=bound,
+                                                 constraints=pins, list_solutions=True,
+                                                 method="mitm"))
+                        assert _summary(mitm) == _summary(res), (target, size, bound, pins)
                         cases += 1
-    assert cases == 3968
+    assert cases == 3968 + 2400
 
 
 def test_folded_solve_is_the_same_for_any_worker_count():
@@ -733,10 +760,15 @@ def test_survey_probes_once_per_target_column(monkeypatch):
     groups = oracle._plan(8, 8, {}, rows).groups
     assert sorted(len(members) for _, _, members in groups) == [1, 2, 2, 3]
     sv = survey(8)
-    # the plan keeps a table of 8^3 and a sweep of 8^3 suffixes in 8^2 runs;
-    # the probe of (1,0) is in the table in 15 of those runs, whose other 7
-    # suffixes look it up too
-    assert len(lookups) == 3 * 8 ** 3 + 8 ** 2 + 15 * 7
+    # the plan keeps a table over a_2..a_4 and a sweep over a_6..a_8, each
+    # within its digit-sum cap, 3*8 - 4 less the five lows outside it: 350
+    # suffixes in 61 runs, the 3 pairs (a_6, a_7) summing to 15 or more
+    # leaving no room for a_8; the probe of (1,0) is in the table in 15 of
+    # those runs, each of 8 suffixes, whose other 7 suffixes look it up too
+    search = oracle._plan(8, 8, {}, rows)
+    assert (search.table_cap, search.sweep_cap) == (3 * 8 - 4 - 5,) * 2 == (15, 15)
+    assert _capped([1] * 3, [8] * 3, 15) == 350
+    assert len(lookups) == 3 * 350 + (8 ** 2 - 3) + 15 * 7
     assert sv.counts == {name: census.count_solutions(name, 8) for name in matrices.TARGETS}
 
 
@@ -954,9 +986,11 @@ def test_filtered_mitm_matches_direct(monkeypatch):
 
 
 def test_filter_stores_only_the_probed_entries(monkeypatch):
-    # survey(9) keeps a table of 9^4 = 6,561 entries against a sweep of 9^3
-    # suffixes with four probes each; the filtered build stores exactly the
-    # full build's entries under the sweep's keys, 276 of them under 36 keys
+    # survey(9) keeps a table box of 9^4 = 6,561 tuples against a sweep box of
+    # 9^3 suffixes with four probes each, both within their digit-sum caps,
+    # 3*9 - 4 less the five lows outside the side; the filtered build stores
+    # exactly the capped full build's entries under the sweep's keys, 276 of
+    # its 2,556 under 36 keys
     built = []
     real = oracle._build_table
 
@@ -966,15 +1000,15 @@ def test_filter_stores_only_the_probed_entries(monkeypatch):
 
     monkeypatch.setattr(oracle, "_build_table", recording)
     assert survey(9).counts == {name: census.count_solutions(name, 9) for name in matrices.TARGETS}
-    # the eight targets are not all +/-Id, so the table has no digit-sum cap
     (lows, highs, bound, keep, cap), = built
-    assert keep is not None and len(keep) <= 4 * 9 ** 3 and cap is None
-    table, full = real(lows, highs, bound, keep)[0], real(lows, highs, bound)[0]
+    assert oracle._projected(lows, highs) == 9 ** 4 and cap == 3 * 9 - 4 - 5
+    assert keep is not None and len(keep) <= 4 * _capped([1] * 3, [9] * 3, cap)
+    table, full = real(lows, highs, bound, keep, cap)[0], real(lows, highs, bound, None, cap)[0]
 
     def entries(buckets):
         return sum(1 if type(bucket) is int else len(bucket) for bucket in buckets)
 
-    assert entries(full.values()) == oracle._projected(lows, highs) == 9 ** 4
+    assert entries(full.values()) == _capped(lows, highs, cap) == 2556
     assert table == {key: full[key] for key in keep if key in full}
     assert (entries(table.values()), len(table)) == (276, 36)
 
@@ -1044,6 +1078,30 @@ def test_concurrent_solves_match_serial():
     assert counts == serial
 
 
+def _product(block):
+    # m_k over integers of any sign, which m_n refuses; the empty block is the identity
+    product = matrices.IDENTITY
+    for a in block:
+        product = matrices.Mat2(a, -1, 1, 0) * product
+    return product
+
+
+def test_blocks_fold_each_named_target_into_id():
+    # the two facts the caps of the named targets rest on: each block c
+    # multiplies M, and -M, out to +/-Id, and a 0 merges its two neighbours,
+    # elem(x)*elem(0)*elem(y) = -elem(x + y), for integers of any sign
+    assert set(oracle._BLOCKS) == set(matrices.TARGETS)
+    for name, block in oracle._BLOCKS.items():
+        for mat in (matrices.TARGETS[name], -matrices.TARGETS[name]):
+            assert matrices.equal_up_to_sign(_product(block) * mat, matrices.IDENTITY), name
+            assert oracle._EXCESS[mat.entries()] == (
+                3 * (len(block) - 2 * block.count(0)) - 6 - sum(block)), name
+    assert len(oracle._EXCESS) == 16
+    for x in range(-3, 4):
+        for y in range(-3, 4):
+            assert _product((y, 0, x)) == -matrices.Mat2(x + y, -1, 1, 0), (x, y)
+
+
 def test_id_solutions_obey_the_digit_sum_bound():
     # the lemma the caps rest on, checked on the unpruned direct route: every
     # +/-Id solution of size n sums to at most 3n - 6, and to a multiple of 3
@@ -1053,6 +1111,16 @@ def test_id_solutions_obey_the_digit_sum_bound():
         assert res.count == census.count_solutions("Id", size) == len(res.solutions)
         sums = {sum(digits) for digits in res.solutions}
         assert max(sums) <= 3 * size - 6 and all(total % 3 == 0 for total in sums), size
+    # each named target M's solutions sum to at most 3n + d_M, and exactly
+    # that much wherever M has a solution of size n; one walk per size
+    normalized = [oracle._normalize_target(name) for name in matrices.TARGETS]
+    for size in range(3, 8):
+        results = oracle._run(normalized, size, None, {}, "direct", 1, size ** size, True)
+        for (mat, name), res in zip(normalized, results):
+            assert res.count == census.count_solutions(name, size) == len(res.solutions)
+            assert not res.solutions or (
+                max(map(sum, res.solutions)) == 3 * size + oracle._EXCESS[mat.entries()]), (
+                    name, size)
     # the bound is reached: the fan quiddity (n - 2, 1, 2, ..., 2, 1) of the
     # triangulation with one vertex in every triangle is a solution
     for size in range(3, 13):
